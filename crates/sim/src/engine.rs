@@ -7,14 +7,26 @@
 //! order) is placed on its resource. Per-resource execution is FIFO,
 //! matching the run-queue behaviour of the real middleware.
 //!
-//! The engine is event-driven: a pre-pass interns every resource into a
-//! dense index and flattens all plans into one task array with indegree
-//! counts and a CSR successor list; the run loop then pops a binary heap of
-//! ready tasks keyed by feasible start time, tracks per-resource free times
-//! in a flat `Vec<f64>`, and decrements successor indegrees on completion —
-//! O(n log n) with no per-step hashing or rescans. The original O(n²)
-//! list-scheduling implementation is preserved in [`crate::reference`] and
-//! property-tested to produce identical schedules.
+//! The engine is event-driven. A pre-pass flattens all plans into one task
+//! array with indegree counts and a CSR successor list, and gives every
+//! resource a dense slot sized from the cluster: processors first (node
+//! offset + processor index), then one slot per unordered node pair. The
+//! run loop pops a binary heap of ready tasks keyed by feasible start time,
+//! tracks per-slot free times and per-processor busy sums in flat `Vec`s,
+//! and decrements successor indegrees on completion — no per-step hashing
+//! or rescans.
+//!
+//! The heap is **release-gated**: a request's root tasks enter it only once
+//! the request's release time is ≤ the heap's minimum key (or the heap is
+//! empty), walking requests in release order. A pending root's key is its
+//! release, which is then above every popped key, so the pop order — and
+//! every schedule, completion and energy sum — is exactly what pushing all
+//! roots up front would give, while the heap holds only the released,
+//! in-flight tasks. A stream of `n` tasks thus costs O(n log w), with `w`
+//! the released in-flight width (tens of tasks on a serving stream), not
+//! O(n log n). The original O(n²) list-scheduling implementation is
+//! preserved in [`crate::reference`] and property-tested to produce
+//! identical schedules.
 //!
 //! # The zero-copy warm path
 //!
@@ -44,11 +56,13 @@
 
 use crate::plan::{ExecutionPlan, Label, TaskId, TaskKind};
 use crate::SimError;
-use hidp_platform::{AvailabilityEvent, Cluster, EnergyMeter, NodeIndex, ProcessorAddr};
+use hidp_platform::{
+    AvailabilityEvent, Cluster, EnergyMeter, NodeIndex, ProcessorAddr, ProcessorIndex,
+};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The record of one executed task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,21 +182,6 @@ pub struct FailureEvent {
     pub node: NodeIndex,
 }
 
-/// Resource identifier used while interning (processor or unordered link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Resource {
-    Processor(ProcessorAddr),
-    Link(usize, usize),
-}
-
-pub(crate) fn link_key(a: NodeIndex, b: NodeIndex) -> Resource {
-    if a.0 <= b.0 {
-        Resource::Link(a.0, b.0)
-    } else {
-        Resource::Link(b.0, a.0)
-    }
-}
-
 /// One entry of a simulated request stream: the arrival time used for
 /// latency accounting, the release (admission) time gating when the
 /// request's subgraph may start, and the plan.
@@ -274,8 +273,10 @@ impl Ord for ReadyTask {
 }
 
 /// Reusable working memory for [`simulate_stream_in`]: the flattened task
-/// array, indegree counts, CSR successor lists, the ready heap, per-resource
-/// free times *and* the output [`SimReport`]'s buffers.
+/// array, indegree counts, CSR successor lists, the release-gated ready
+/// heap, the release-order index (used only for streams whose releases are
+/// not already nondecreasing), the dense per-slot free times and
+/// per-processor busy sums, *and* the output [`SimReport`]'s buffers.
 ///
 /// Create one per worker thread (it is cheap when empty) and pass it to
 /// every simulation that thread runs: after the first run of a given stream
@@ -290,18 +291,27 @@ impl Ord for ReadyTask {
 /// cost proportional to the stream.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    resources: HashMap<Resource, u32>,
+    /// proc_base[v]: dense slot of node v's first processor.
+    proc_base: Vec<u32>,
     tasks: Vec<TaskMeta>,
-    /// ready_time[i]: max(arrival, finish of every completed dependency).
+    /// ready_time[i]: max(release, finish of every completed dependency).
     ready_time: Vec<f64>,
     /// indegree[i]: dependencies of task i not yet finished.
     indegree: Vec<u32>,
-    /// Per-request offset of the first flat index, to globalise dep ids.
+    /// Per-request offset of the first flat index, to globalise dep ids,
+    /// plus a final entry holding the task count.
     request_base: Vec<usize>,
     succ_offsets: Vec<usize>,
     succ: Vec<usize>,
     cursor: Vec<usize>,
+    /// Request indices sorted by (release, index); filled only when the
+    /// stream's releases are not nondecreasing.
+    release_order: Vec<usize>,
+    /// Free time per dense resource slot.
     resource_free: Vec<f64>,
+    /// Busy sum per processor slot (`None` until its first commit), folded
+    /// into the report's meter once per run.
+    busy: Vec<Option<f64>>,
     heap: BinaryHeap<Reverse<ReadyTask>>,
     report: SimReport,
     /// Failure events of the last faulty run (empty otherwise).
@@ -321,7 +331,6 @@ impl SimScratch {
 
     /// Clears every buffer, keeping capacity.
     fn reset(&mut self, total_tasks: usize, request_count: usize) {
-        self.resources.clear();
         self.tasks.clear();
         self.tasks.reserve(total_tasks);
         self.ready_time.clear();
@@ -329,7 +338,7 @@ impl SimScratch {
         self.indegree.clear();
         self.indegree.reserve(total_tasks);
         self.request_base.clear();
-        self.request_base.reserve(request_count);
+        self.request_base.reserve(request_count + 1);
         self.heap.clear();
         self.failures.clear();
         self.report.records.clear();
@@ -378,10 +387,22 @@ impl SimScratch {
         // takes the fault-free path untouched.
         let faulty = faults.iter().any(|e| !e.up);
 
-        // --- Pre-pass: validate, intern resources, flatten tasks. ---------
+        // --- Pre-pass: validate, flatten tasks, assign resource slots. ----
         let total: usize = requests.iter().map(|e| e.plan().len()).sum();
         self.reset(total, requests.len());
+        // Dense slots: processors flat by node, then node pairs (lo, hi)
+        // with lo < hi at `processors + hi * (hi - 1) / 2 + lo`.
+        self.proc_base.clear();
+        let mut processors = 0u32;
+        for node in cluster.nodes() {
+            self.proc_base.push(processors);
+            processors += node.processor_count() as u32;
+        }
+        let nodes = cluster.len();
+        let slots = processors as usize + nodes * (nodes - 1) / 2;
 
+        let mut releases_sorted = true;
+        let mut prev_release = 0.0f64;
         for (req_idx, entry) in requests.iter().enumerate() {
             let plan = entry.plan();
             let arrival = entry.arrival();
@@ -403,6 +424,8 @@ impl SimScratch {
             // would break the exact-tie submission-order guarantee for
             // requests arriving at (±)0.0.
             let release = release + 0.0;
+            releases_sorted &= release >= prev_release;
+            prev_release = release;
             plan.validate()?;
             let batch = plan.batch();
             self.request_base.push(self.tasks.len());
@@ -417,7 +440,7 @@ impl SimScratch {
                         let proc = cluster.processor(*target)?;
                         (
                             proc.batched_compute_time(*flops, *gpu_affinity, batch),
-                            Some(Resource::Processor(*target)),
+                            Some(self.proc_base[target.node.0] + target.processor.0 as u32),
                             Some(*target),
                             *flops,
                             0u64,
@@ -430,11 +453,9 @@ impl SimScratch {
                         cluster.node(*from)?;
                         cluster.node(*to)?;
                         let duration = cluster.network().transfer_time(*from, *to, *bytes);
-                        let resource = if from == to {
-                            None
-                        } else {
-                            Some(link_key(*from, *to))
-                        };
+                        let (lo, hi) = (from.0.min(to.0), from.0.max(to.0));
+                        let resource =
+                            (lo != hi).then(|| processors + (hi * (hi - 1) / 2 + lo) as u32);
                         (
                             duration,
                             resource,
@@ -446,10 +467,6 @@ impl SimScratch {
                         )
                     }
                 };
-                let resource = resource.map(|r| {
-                    let next = self.resources.len() as u32;
-                    *self.resources.entry(r).or_insert(next)
-                });
                 self.tasks.push(TaskMeta {
                     request: req_idx,
                     duration,
@@ -463,6 +480,18 @@ impl SimScratch {
                 self.ready_time.push(release);
                 self.indegree.push(task.deps.len() as u32);
             }
+        }
+        self.request_base.push(self.tasks.len());
+        if !releases_sorted {
+            // Ties by request index keep the (release, seq) heap order; an
+            // unstable sort on that total key allocates nothing.
+            self.release_order.clear();
+            self.release_order.extend(0..requests.len());
+            self.release_order.sort_unstable_by(|&a, &b| {
+                (requests[a].release() + 0.0)
+                    .total_cmp(&(requests[b].release() + 0.0))
+                    .then(a.cmp(&b))
+            });
         }
 
         // CSR successor lists: succ[succ_offsets[d]..succ_offsets[d + 1]]
@@ -502,15 +531,17 @@ impl SimScratch {
 
         // --- Event loop. --------------------------------------------------
         let Self {
-            resources,
+            proc_base,
             tasks,
             ready_time,
             indegree,
             request_base,
             succ_offsets,
             succ,
-            heap,
+            release_order,
             resource_free,
+            busy,
+            heap,
             report,
             failures,
             alive,
@@ -519,7 +550,9 @@ impl SimScratch {
             ..
         } = self;
         resource_free.clear();
-        resource_free.resize(resources.len(), 0.0);
+        resource_free.resize(slots, 0.0);
+        busy.clear();
+        busy.resize(processors as usize, None);
         report.request_completion.resize(requests.len(), 0.0);
         if detail == TraceDetail::Full {
             report.records.reserve(n);
@@ -539,19 +572,40 @@ impl SimScratch {
         // Heap keys are lower bounds on feasible start: exact once every
         // dependency is finished, except that the resource may become busier
         // after the push — corrected lazily on pop.
-        for i in 0..n {
-            if indegree[i] == 0 {
-                heap.push(Reverse(ReadyTask {
-                    start: ready_time[i],
-                    seq: i,
-                }));
-            }
-        }
-
         let mut committed = 0usize;
         let mut skipped = 0usize;
         let mut next_fault = 0usize;
-        while let Some(Reverse(entry)) = heap.pop() {
+        let mut next_release = 0usize;
+        loop {
+            // Release every pending request whose release is ≤ the heap's
+            // minimum key (and the next one whenever the heap is empty). Every
+            // request still pending afterwards releases strictly after that
+            // minimum, so none of its roots could pop first: the gated heap
+            // pops in the same (start, seq) order as a heap seeded with
+            // every root up front.
+            while next_release < requests.len() {
+                let r = if releases_sorted {
+                    next_release
+                } else {
+                    release_order[next_release]
+                };
+                let release = requests[r].release() + 0.0;
+                if heap.peek().is_some_and(|Reverse(top)| release > top.start) {
+                    break;
+                }
+                for i in request_base[r]..request_base[r + 1] {
+                    if indegree[i] == 0 {
+                        heap.push(Reverse(ReadyTask {
+                            start: ready_time[i],
+                            seq: i,
+                        }));
+                    }
+                }
+                next_release += 1;
+            }
+            let Some(Reverse(entry)) = heap.pop() else {
+                break;
+            };
             let i = entry.seq;
             let t = tasks[i];
             if faulty && !alive[t.request] {
@@ -604,10 +658,19 @@ impl SimScratch {
             }
             let end = start + t.duration;
             if let Some(r) = t.resource {
-                resource_free[r as usize] = end;
-            }
-            if let Some(addr) = t.processor {
-                report.meter.record_busy(addr, t.duration)?;
+                let r = r as usize;
+                resource_free[r] = end;
+                if let Some(addr) = t.processor {
+                    if t.duration < 0.0 || !t.duration.is_finite() {
+                        // The meter rejects this duration; surface its error.
+                        report.meter.record_busy(addr, t.duration)?;
+                    }
+                    // Processors own slots 0..processors, so a compute
+                    // task's resource slot is its busy slot. Starting from
+                    // 0.0 and adding in commit order is exactly the sum
+                    // `EnergyMeter::record_busy` would have built.
+                    busy[r] = Some(busy[r].unwrap_or(0.0) + t.duration);
+                }
             }
             if end > report.request_completion[t.request] {
                 report.request_completion[t.request] = end;
@@ -655,6 +718,17 @@ impl SimScratch {
             });
         }
 
+        for (node, (&base, edge)) in proc_base.iter().zip(cluster.nodes()).enumerate() {
+            for processor in 0..edge.processor_count() {
+                if let Some(seconds) = busy[base as usize + processor] {
+                    let addr = ProcessorAddr {
+                        node: NodeIndex(node),
+                        processor: ProcessorIndex(processor),
+                    };
+                    report.meter.record_busy(addr, seconds)?;
+                }
+            }
+        }
         report.makespan = report
             .request_completion
             .iter()
@@ -1301,6 +1375,40 @@ mod tests {
                 TraceDetail::Summary
             )
             .is_err());
+        }
+    }
+
+    #[test]
+    fn release_gated_heap_stays_at_the_in_flight_width() {
+        // 10k requests spaced so none overlaps the next: only one request's
+        // tasks are ever released and waiting, so the heap's capacity stays
+        // at that width. Seeding every root up front would need 20k entries.
+        let cluster = presets::paper_cluster();
+        let mut plan = ExecutionPlan::new();
+        let a = plan.add_compute("a", addr(0, 1), 900_000_000, 1.0, &[]);
+        plan.add_compute("b", addr(0, 0), 100_000_000, 1.0, &[]);
+        let t = plan.add_transfer("t", NodeIndex(0), NodeIndex(2), 4_000_000, &[a]);
+        plan.add_compute("c", addr(2, 1), 700_000_000, 0.8, &[t]);
+        let plan = std::sync::Arc::new(plan);
+        let single = simulate(&plan, &cluster).unwrap().makespan;
+        let spaced: Vec<(f64, std::sync::Arc<ExecutionPlan>)> = (0..10_000)
+            .map(|i| (i as f64 * 2.0 * single, std::sync::Arc::clone(&plan)))
+            .collect();
+        // Submitted reversed, the stream takes the sorted release-order path
+        // and must stay just as narrow.
+        let reversed: Vec<_> = spaced.iter().rev().cloned().collect();
+        for stream in [&spaced, &reversed] {
+            let mut scratch = SimScratch::new();
+            let report =
+                simulate_stream_in(&mut scratch, stream, &cluster, TraceDetail::Summary).unwrap();
+            for latency in report.latencies() {
+                assert!((latency - single).abs() < 1e-9, "requests overlapped");
+            }
+            assert!(
+                scratch.heap.capacity() <= 16,
+                "heap grew to {} entries for a stream of width 2",
+                scratch.heap.capacity()
+            );
         }
     }
 

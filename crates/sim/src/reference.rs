@@ -9,12 +9,27 @@
 //! records the speedup of the event-driven engine. New code should call
 //! [`crate::simulate_stream`].
 
-use crate::engine::{link_key, Resource, SimReport, TaskRecord};
+use crate::engine::{SimReport, TaskRecord};
 use crate::plan::{ExecutionPlan, PlanTask, TaskId, TaskKind};
 use crate::SimError;
-use hidp_platform::{Cluster, EnergyMeter, ProcessorAddr};
+use hidp_platform::{Cluster, EnergyMeter, NodeIndex, ProcessorAddr};
 use std::borrow::Borrow;
 use std::collections::HashMap;
+
+/// Resource identifier used while interning (processor or unordered link).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Resource {
+    Processor(ProcessorAddr),
+    Link(usize, usize),
+}
+
+fn link_key(a: NodeIndex, b: NodeIndex) -> Resource {
+    if a.0 <= b.0 {
+        Resource::Link(a.0, b.0)
+    } else {
+        Resource::Link(b.0, a.0)
+    }
+}
 
 /// Simulates a stream of requests with the original earliest-start
 /// list-scheduling loop. Produces the same report as

@@ -17,8 +17,11 @@ use hidp::core::{
     ServingScenario, ServingScratch, SimScratch, TraceDetail,
 };
 use hidp::dnn::zoo::WorkloadModel;
-use hidp::platform::{presets, NodeIndex};
-use hidp::sim::{simulate_stream_detailed, simulate_stream_in, ExecutionPlan};
+use hidp::platform::{presets, AvailabilityEvent, NodeIndex};
+use hidp::sim::{
+    simulate_admitted_stream_faulty_in, simulate_admitted_stream_in, simulate_stream_detailed,
+    simulate_stream_in, ExecutionPlan,
+};
 use hidp::workloads::InferenceRequest;
 use hidp::HidpStrategy;
 use hidp_bench::alloc_count::{allocations_on_this_thread, CountingAllocator};
@@ -91,6 +94,97 @@ fn steady_state_warm_path_allocates_nothing() {
     let reused = simulate_stream_in(&mut scratch, &planned, &cluster, TraceDetail::Summary)
         .expect("simulates");
     assert_eq!(*reused, one_shot);
+}
+
+#[test]
+fn steady_state_event_engine_allocates_nothing_on_unsorted_and_faulty_streams() {
+    // The event engine's own buffers, one layer below the warm path: the
+    // release-order index an unsorted admitted stream needs, the dense
+    // resource slots and per-processor busy sums, and the failure-aware
+    // mode's kill bookkeeping are all sized by the first run of each mode
+    // and only reused afterwards — even with both modes interleaved on one
+    // scratch.
+    let cluster = presets::paper_cluster();
+    let strategy = HidpStrategy::new();
+    let leader = NodeIndex(1);
+    let models = [
+        WorkloadModel::EfficientNetB0,
+        WorkloadModel::InceptionV3,
+        WorkloadModel::ResNet152,
+    ];
+    let requests = hidp::workloads::repeating_stream(&models, 0.05, 60);
+    let cache = PlanCache::new();
+    let mut key = PlanKey::for_run(&strategy, &cluster, leader);
+    // Admission delays cycling 0.3 / 0 / 0.15 s put the releases out of
+    // order (request 0 releases after request 1).
+    let stream: Vec<(f64, f64, Arc<ExecutionPlan>)> = InferenceRequest::to_stream(&requests)
+        .iter()
+        .enumerate()
+        .map(|(i, (arrival, graph))| {
+            key.graph_fingerprint = graph.fingerprint();
+            key.batch = graph.input_shape().batch();
+            let (plan, _) = cache
+                .plan_keyed(&key, &strategy, graph, &cluster, leader)
+                .expect("planning succeeds");
+            (*arrival, arrival + [0.3, 0.0, 0.15][i % 3], plan)
+        })
+        .collect();
+    assert!(stream.windows(2).any(|pair| pair[1].1 < pair[0].1));
+    let faults = [
+        AvailabilityEvent {
+            time: 1.0,
+            node: NodeIndex(2),
+            up: false,
+        },
+        AvailabilityEvent {
+            time: 2.0,
+            node: NodeIndex(2),
+            up: true,
+        },
+    ];
+
+    let mut scratch = SimScratch::new();
+    let expected =
+        simulate_admitted_stream_in(&mut scratch, &stream, &cluster, TraceDetail::Summary)
+            .expect("stream simulates")
+            .clone();
+    let (report, failures) = simulate_admitted_stream_faulty_in(
+        &mut scratch,
+        &stream,
+        &cluster,
+        &faults,
+        TraceDetail::Full,
+    )
+    .expect("faulty stream simulates");
+    let (expected_faulty, expected_failures) = (report.clone(), failures.to_vec());
+    assert!(
+        !expected_failures.is_empty(),
+        "the down-flip must kill work or the contract is vacuous"
+    );
+
+    let before = allocations_on_this_thread();
+    for _ in 0..5 {
+        let report =
+            simulate_admitted_stream_in(&mut scratch, &stream, &cluster, TraceDetail::Summary)
+                .expect("stream simulates");
+        assert_eq!(*report, expected);
+        let (report, failures) = simulate_admitted_stream_faulty_in(
+            &mut scratch,
+            &stream,
+            &cluster,
+            &faults,
+            TraceDetail::Full,
+        )
+        .expect("faulty stream simulates");
+        assert_eq!(*report, expected_faulty);
+        assert_eq!(failures, &expected_failures[..]);
+    }
+    let allocations = allocations_on_this_thread() - before;
+    assert_eq!(
+        allocations, 0,
+        "steady-state engine runs must not allocate (got {allocations} \
+         allocations over 5 unsorted and 5 faulty runs of 60 requests)"
+    );
 }
 
 #[test]
