@@ -723,23 +723,6 @@ pub fn stream_scaling_table(points: &[StreamScalingPoint]) -> ExperimentTable {
     table
 }
 
-/// The `"host"` line of a perf-trajectory document: the measuring host's
-/// available parallelism and CPU model, so numbers from different hosts are
-/// never compared naively.
-fn host_json_line() -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().replace(['"', '\\'], ""))
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    format!("  \"host\": {{\"available_parallelism\": {threads}, \"cpu\": \"{cpu}\"}},\n")
-}
-
 /// Serialises stream-scaling points as the `BENCH_stream_scaling.json`
 /// perf-trajectory document (hand-rolled like [`tables_to_json`]: the build
 /// environment has no serde_json). `reference_budget_ms` is the cap passed
@@ -753,7 +736,6 @@ pub fn stream_scaling_json(points: &[StreamScalingPoint], reference_budget_ms: f
         }
     }
     let mut out = String::from("{\n  \"benchmark\": \"stream_scaling\",\n");
-    out.push_str(&host_json_line());
     out.push_str("  \"workload\": \"Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache\",\n");
     out.push_str(&format!(
         "  \"reference_budget_ms\": {reference_budget_ms},\n"
@@ -924,7 +906,6 @@ pub fn warm_path_table(points: &[WarmPathPoint]) -> ExperimentTable {
 /// no serde_json).
 pub fn warm_path_json(points: &[WarmPathPoint]) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"warm_path\",\n");
-    out.push_str(&host_json_line());
     out.push_str("  \"workload\": \"Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via warm PlanCache, Arc-shared plans, reused SimScratch, TraceDetail::Summary\",\n");
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {

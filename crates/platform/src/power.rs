@@ -32,12 +32,25 @@ impl EnergyMeter {
     /// Returns [`PlatformError::InvalidParameter`] for negative or non-finite
     /// durations.
     pub fn record_busy(&mut self, addr: ProcessorAddr, seconds: f64) -> Result<(), PlatformError> {
+        Self::check_busy(seconds)?;
+        *self.busy_seconds.entry(addr).or_insert(0.0) += seconds;
+        Ok(())
+    }
+
+    /// Checks a busy duration the way [`EnergyMeter::record_busy`] does,
+    /// without recording it — for callers that sum busy time themselves and
+    /// record the total once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlatformError::InvalidParameter`] for negative or non-finite
+    /// durations.
+    pub fn check_busy(seconds: f64) -> Result<(), PlatformError> {
         if seconds < 0.0 || !seconds.is_finite() {
             return Err(PlatformError::InvalidParameter {
                 what: format!("busy time must be non-negative and finite, got {seconds}"),
             });
         }
-        *self.busy_seconds.entry(addr).or_insert(0.0) += seconds;
         Ok(())
     }
 

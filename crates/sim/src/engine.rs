@@ -274,8 +274,7 @@ impl Ord for ReadyTask {
 
 /// Reusable working memory for [`simulate_stream_in`]: the flattened task
 /// array, indegree counts, CSR successor lists, the release-gated ready
-/// heap, the release-order index (used only for streams whose releases are
-/// not already nondecreasing), the dense per-slot free times and
+/// heap, the release-order index, the dense per-slot free times and
 /// per-processor busy sums, *and* the output [`SimReport`]'s buffers.
 ///
 /// Create one per worker thread (it is cheap when empty) and pass it to
@@ -304,8 +303,7 @@ pub struct SimScratch {
     succ_offsets: Vec<usize>,
     succ: Vec<usize>,
     cursor: Vec<usize>,
-    /// Request indices sorted by (release, index); filled only when the
-    /// stream's releases are not nondecreasing.
+    /// Request indices sorted by (release, index).
     release_order: Vec<usize>,
     /// Free time per dense resource slot.
     resource_free: Vec<f64>,
@@ -401,8 +399,6 @@ impl SimScratch {
         let nodes = cluster.len();
         let slots = processors as usize + nodes * (nodes - 1) / 2;
 
-        let mut releases_sorted = true;
-        let mut prev_release = 0.0f64;
         for (req_idx, entry) in requests.iter().enumerate() {
             let plan = entry.plan();
             let arrival = entry.arrival();
@@ -424,8 +420,6 @@ impl SimScratch {
             // would break the exact-tie submission-order guarantee for
             // requests arriving at (±)0.0.
             let release = release + 0.0;
-            releases_sorted &= release >= prev_release;
-            prev_release = release;
             plan.validate()?;
             let batch = plan.batch();
             self.request_base.push(self.tasks.len());
@@ -482,17 +476,16 @@ impl SimScratch {
             }
         }
         self.request_base.push(self.tasks.len());
-        if !releases_sorted {
-            // Ties by request index keep the (release, seq) heap order; an
-            // unstable sort on that total key allocates nothing.
-            self.release_order.clear();
-            self.release_order.extend(0..requests.len());
-            self.release_order.sort_unstable_by(|&a, &b| {
-                (requests[a].release() + 0.0)
-                    .total_cmp(&(requests[b].release() + 0.0))
-                    .then(a.cmp(&b))
-            });
-        }
+        // Ties by request index keep the (release, seq) heap order; an
+        // unstable sort on that total key allocates nothing, and finishes in
+        // one linear pass on the already-sorted releases of a serving stream.
+        self.release_order.clear();
+        self.release_order.extend(0..requests.len());
+        self.release_order.sort_unstable_by(|&a, &b| {
+            (requests[a].release() + 0.0)
+                .total_cmp(&(requests[b].release() + 0.0))
+                .then(a.cmp(&b))
+        });
 
         // CSR successor lists: succ[succ_offsets[d]..succ_offsets[d + 1]]
         // holds the flat indices of the tasks depending on flat task d. The
@@ -583,12 +576,7 @@ impl SimScratch {
             // minimum, so none of its roots could pop first: the gated heap
             // pops in the same (start, seq) order as a heap seeded with
             // every root up front.
-            while next_release < requests.len() {
-                let r = if releases_sorted {
-                    next_release
-                } else {
-                    release_order[next_release]
-                };
+            while let Some(&r) = release_order.get(next_release) {
                 let release = requests[r].release() + 0.0;
                 if heap.peek().is_some_and(|Reverse(top)| release > top.start) {
                     break;
@@ -660,11 +648,8 @@ impl SimScratch {
             if let Some(r) = t.resource {
                 let r = r as usize;
                 resource_free[r] = end;
-                if let Some(addr) = t.processor {
-                    if t.duration < 0.0 || !t.duration.is_finite() {
-                        // The meter rejects this duration; surface its error.
-                        report.meter.record_busy(addr, t.duration)?;
-                    }
+                if t.processor.is_some() {
+                    EnergyMeter::check_busy(t.duration)?;
                     // Processors own slots 0..processors, so a compute
                     // task's resource slot is its busy slot. Starting from
                     // 0.0 and adding in commit order is exactly the sum
@@ -1394,8 +1379,8 @@ mod tests {
         let spaced: Vec<(f64, std::sync::Arc<ExecutionPlan>)> = (0..10_000)
             .map(|i| (i as f64 * 2.0 * single, std::sync::Arc::clone(&plan)))
             .collect();
-        // Submitted reversed, the stream takes the sorted release-order path
-        // and must stay just as narrow.
+        // Submitted reversed, the release-order walk must keep the heap just
+        // as narrow.
         let reversed: Vec<_> = spaced.iter().rev().cloned().collect();
         for stream in [&spaced, &reversed] {
             let mut scratch = SimScratch::new();

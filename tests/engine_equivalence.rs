@@ -172,7 +172,7 @@ proptest! {
         // unsorted. Every start and finish is then an exact grid value:
         // tasks tie with each other and with later requests' releases,
         // which drives the release gate through its `release == min key`
-        // boundary and its sorted release-order path.
+        // boundary and its release-order sort on unsorted input.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7135_0b5e);
         let cluster = grid_cluster();
         let requests: Vec<(f64, ExecutionPlan)> = (0..rng.gen_range(20..=80usize))

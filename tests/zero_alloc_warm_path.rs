@@ -99,7 +99,7 @@ fn steady_state_warm_path_allocates_nothing() {
 #[test]
 fn steady_state_event_engine_allocates_nothing_on_unsorted_and_faulty_streams() {
     // The event engine's own buffers, one layer below the warm path: the
-    // release-order index an unsorted admitted stream needs, the dense
+    // release-order index (sorted in place on an unsorted stream), the dense
     // resource slots and per-processor busy sums, and the failure-aware
     // mode's kill bookkeeping are all sized by the first run of each mode
     // and only reused afterwards — even with both modes interleaved on one
