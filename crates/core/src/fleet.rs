@@ -6,10 +6,11 @@
 //! [`FleetScenario`] runs one such loop **per cluster of a
 //! [`hidp_platform::Fleet`]**, all sharing a single virtual clock. A
 //! deterministic router assigns every arriving [`FleetRequest`] to a cluster
-//! under a pluggable [`RoutingPolicy`]; each cluster then runs the *exact*
-//! indexed admission loop of the serving tier (same `IndexedQueue`, same
-//! `DispatchEstimator`, same epoch/fingerprint plan re-keying) over the
-//! requests routed to it.
+//! under a pluggable [`RoutingPolicy`]; each cluster then runs the serving
+//! tier's streaming loop (same `IndexedQueue`, same `DispatchEstimator`,
+//! same pending-batch FIFO, same epoch/fingerprint plan re-keying) over the
+//! requests routed to it. Every config takes that one loop: faults, drift
+//! and recovery only add work when they have something to act on.
 //!
 //! # Rounds and barriers
 //!
@@ -54,10 +55,11 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::parallel::ParallelSweep;
+use crate::pending::{plan_node_mask, PendingBatch, PendingFifo};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    plan_node_mask, AdmissionPolicy, Departure, DispatchEstimator, FailureMode, IndexedQueue,
-    PendingBatch, RecoveryPolicy, RobustnessStats, ServingRequest,
+    AdmissionPolicy, Departure, DispatchEstimator, FailureMode, IndexedQueue, RecoveryPolicy,
+    RobustnessStats, ServingRequest,
 };
 use crate::strategy::DistributedStrategy;
 use crate::{CoreError, PlanKey};
@@ -70,7 +72,7 @@ use hidp_platform::{
 use hidp_sim::serving::{LatencyHistogram, LatencySummary, SlaClass, SlaClassReport};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One request entering the fleet: a serving request plus the region it
@@ -179,17 +181,6 @@ pub struct FleetConfig {
     /// The adaptive estimation/re-planning loop, applied per cluster
     /// worker. `None` keeps planning static.
     pub adaptive: Option<AdaptiveConfig>,
-}
-
-impl FleetConfig {
-    /// Whether the run needs the failure-aware worker loop.
-    fn is_robust(&self) -> bool {
-        self.failures == FailureMode::Kill
-            || self.recovery.is_active()
-            || self.slowdowns.iter().any(|s| !s.is_empty())
-            || self.drifts.iter().any(|d| !d.is_empty())
-            || self.adaptive.is_some()
-    }
 }
 
 impl Default for FleetConfig {
@@ -409,7 +400,6 @@ impl FleetScenario {
         let round_seconds = self.config.round_seconds;
         let payload = self.config.payload_bytes;
         let hint = self.config.route_cost_hint_s;
-        let robust = self.config.is_robust();
         let degradations = self.config.wan_degradations.as_slice();
         let ctx = RoundCtx {
             strategy,
@@ -417,7 +407,6 @@ impl FleetScenario {
             policy: self.config.policy,
             max_batch: self.config.max_batch.max(1),
             max_inflight: self.config.max_inflight.map(|w| w.max(1)),
-            robust,
             kill: self.config.failures == FailureMode::Kill,
             recovery: self.config.recovery,
             adaptive: self.config.adaptive,
@@ -524,17 +513,7 @@ impl FleetScenario {
                         if !degradations.is_empty() {
                             wan *= wan_factor(degradations, at);
                         }
-                        if robust {
-                            workers[c].deliver_robust(
-                                fleet_request.request,
-                                wan,
-                                at,
-                                idx as u32,
-                                0,
-                            );
-                        } else {
-                            workers[c].deliver(fleet_request.request, wan);
-                        }
+                        workers[c].accept(fleet_request.request, wan, at, idx as u32, 0);
                         workers[c].routed_in_round += 1;
                         next_global += 1;
                     }
@@ -558,7 +537,7 @@ impl FleetScenario {
                         if !degradations.is_empty() {
                             wan *= wan_factor(degradations, ready);
                         }
-                        workers[c].deliver_robust(
+                        workers[c].accept(
                             fleet_request.request,
                             wan,
                             ready,
@@ -629,7 +608,7 @@ impl FleetScenario {
             }
         }
 
-        self.summarise(workers, n, cluster_count, rounds, robust)
+        self.summarise(workers, n, cluster_count, rounds)
     }
 
     /// Merges the per-cluster workers into the fleet summary, in cluster
@@ -640,7 +619,6 @@ impl FleetScenario {
         n: usize,
         clusters: usize,
         rounds: usize,
-        robust: bool,
     ) -> Result<FleetSummary, CoreError> {
         let mut latency = LatencyHistogram::new();
         let mut class_latency = [LatencyHistogram::new(); 3];
@@ -709,9 +687,6 @@ impl FleetScenario {
         // Workers count completions and drops; the offered side of the
         // conservation invariant is the global input stream.
         robustness.offered = n as u64;
-        if !robust {
-            robustness = RobustnessStats::all_completed(n);
-        }
         debug_assert!(
             robustness.accounts_for_every_request(),
             "request conservation violated: {robustness:?}"
@@ -731,7 +706,7 @@ impl FleetScenario {
             makespan,
             latency: latency_summary,
             max_latency: latency.max(),
-            mean_queueing_delay: queueing_sum / n as f64,
+            mean_queueing_delay: queueing_sum / latency_summary.count as f64,
             max_queueing_delay: queueing_max,
             deadline_misses,
             per_class,
@@ -890,7 +865,6 @@ struct RoundCtx<'a> {
     policy: AdmissionPolicy,
     max_batch: usize,
     max_inflight: Option<usize>,
-    robust: bool,
     kill: bool,
     recovery: RecoveryPolicy,
     adaptive: Option<AdaptiveConfig>,
@@ -1102,19 +1076,18 @@ impl FleetScratch {
     }
 }
 
-/// One cluster's incremental serving loop: the exact state of
-/// `ServingScenario`'s indexed admission loop, persisted across router
+/// One cluster's incremental serving loop: the state of
+/// [`crate::ServingScenario::run_streaming`]'s loop, persisted across router
 /// rounds so the loop can stop at a barrier and resume bit-identically.
 #[derive(Debug)]
 struct ClusterWorker {
-    // Inputs delivered by the router, in (arrival, global index) order.
+    // Deliveries from the router, in (ready, delivery) order.
     requests: Vec<ServingRequest>,
-    /// Per delivered request: WAN round trip added to its reported latency.
+    /// Per delivery: WAN round trip added to its reported latency.
     wan2: Vec<f64>,
-    // Robust-path delivery metadata (parallel to `requests`; empty on the
-    // legacy path): when the entry may enter the queue (arrival for fresh
-    // work, backoff release for retries), its global input index, and how
-    // many attempts it had already burned when delivered.
+    // Per delivery: when it may enter the queue (arrival for fresh work,
+    // backoff release for retries), its global input index, and how many
+    // attempts it had already burned when delivered.
     ready: Vec<f64>,
     global: Vec<u32>,
     attempts_in: Vec<u32>,
@@ -1132,12 +1105,12 @@ struct ClusterWorker {
     next_arrival: usize,
     now: f64,
     stats: PlanCacheStats,
-    // Kill-tracking state (robust path only).
-    pending: VecDeque<PendingBatch>,
-    pending_members: Vec<u32>,
+    // Admitted batches awaiting completion, kills handed back to the
+    // router, and the request accounting.
+    pending: PendingFifo,
     retry_out: Vec<FleetRetry>,
     robustness: RobustnessStats,
-    // Adaptive estimation/re-planning state (robust path only).
+    // Adaptive estimation/re-planning state.
     adaptive: AdaptiveState,
     // Virtual time of the first kill that produced a retry (INFINITY if
     // none), and latency histogram over completions that needed a retry.
@@ -1188,8 +1161,7 @@ impl ClusterWorker {
             next_arrival: 0,
             now: 0.0,
             stats: PlanCacheStats::default(),
-            pending: VecDeque::new(),
-            pending_members: Vec::new(),
+            pending: PendingFifo::default(),
             retry_out: Vec::new(),
             robustness: RobustnessStats::default(),
             adaptive: AdaptiveState::default(),
@@ -1257,7 +1229,6 @@ impl ClusterWorker {
         self.now = 0.0;
         self.stats = PlanCacheStats::default();
         self.pending.clear();
-        self.pending_members.clear();
         self.retry_out.clear();
         self.robustness = RobustnessStats::default();
         // Reset also deactivates any belief a previous run materialised: a
@@ -1284,20 +1255,12 @@ impl ClusterWorker {
         self.error = None;
     }
 
-    /// Accepts one routed arrival (called in global arrival order, so the
-    /// local list stays sorted the way the serving loop sorts).
-    fn deliver(&mut self, request: ServingRequest, wan_round_trip: f64) {
-        self.requests.push(request);
-        self.wan2.push(wan_round_trip);
-        self.queue.ensure(self.requests.len());
-    }
-
-    /// [`ClusterWorker::deliver`] for the robust path: `ready` gates when
-    /// the entry may enter the queue (the router merges arrivals and retry
-    /// releases so deliveries arrive sorted by `ready`), `global` is the
-    /// fleet-wide input index (jitter and conservation key on it) and
-    /// `attempts` is the retry budget already burned.
-    fn deliver_robust(
+    /// Accepts one routed delivery. `ready` gates when the entry may enter
+    /// the queue (the router merges arrivals and retry releases so
+    /// deliveries arrive sorted by `ready`), `global` is the fleet-wide
+    /// input index (jitter and conservation key on it) and `attempts` is
+    /// the retry budget already burned.
+    fn accept(
         &mut self,
         request: ServingRequest,
         wan_round_trip: f64,
@@ -1329,162 +1292,34 @@ impl ClusterWorker {
         if self.error.is_some() {
             return;
         }
-        let result = if ctx.robust {
-            self.advance_inner_robust(ctx, base, events, slowdowns, drift, cache, t_end)
-        } else {
-            self.advance_inner(ctx, base, events, cache, t_end)
-        };
-        if let Err(error) = result {
+        if let Err(error) = self.advance_until(ctx, base, events, slowdowns, drift, cache, t_end) {
             self.error = Some(error);
         }
     }
 
-    /// The serving tier's indexed admission loop, incremental: identical
-    /// admissions, epochs and virtual-time steps, except that the loop
-    /// returns — before mutating anything — whenever its next step `t`
+    /// The serving tier's streaming loop, incremental: identical
+    /// admissions, epochs, kills and virtual-time steps, except that the
+    /// loop returns — before mutating anything — whenever its next step `t`
     /// would cross `t_end`. The router delivers every arrival `≤ t_end`
     /// before calling this, so each step sees exactly the arrival set the
     /// one-shot loop would.
-    fn advance_inner(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        cache: &PlanCache,
-        t_end: f64,
-    ) -> Result<(), CoreError> {
-        loop {
-            // Admit everything the window allows at the current instant.
-            while self.queue.len() > 0 && ctx.max_inflight.is_none_or(|w| self.inflight.len() < w) {
-                let head = self.queue.pick(ctx.policy);
-                self.queue.coalesce(head, ctx.max_batch, &mut self.members);
-                for &m in self.members.iter() {
-                    self.queue.remove(m, &self.requests);
-                }
-                let head = self.requests[head as usize];
-                let combined = head.batch * self.members.len();
-                let graph = self
-                    .graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                self.key.graph_fingerprint = graph.fingerprint();
-                self.key.batch = graph.input_shape().batch();
-                let plan_cluster: &Cluster = self.epoch_cluster.as_ref().unwrap_or(base);
-                let (plan, hit) =
-                    cache.plan_keyed(&self.key, ctx.strategy, graph, plan_cluster, ctx.leader)?;
-                if hit {
-                    self.stats.hits += 1;
-                } else {
-                    self.stats.misses += 1;
-                }
-
-                // Streaming mode always estimates: completions come from the
-                // measured dispatch model, run on the base cluster exactly
-                // like the serving loop's.
-                let completion = self.dispatch.estimate(plan.as_ref(), base, self.now)?;
-                if ctx.max_inflight.is_some() {
-                    self.inflight.push(Reverse(Departure {
-                        at: completion,
-                        seq: self.departure_seq,
-                    }));
-                    self.departure_seq += 1;
-                }
-                self.batches += 1;
-                if completion > self.makespan {
-                    self.makespan = completion;
-                }
-                for &m in self.members.iter() {
-                    let request = &self.requests[m as usize];
-                    let latency = completion - request.arrival + self.wan2[m as usize];
-                    let delay = self.now - request.arrival;
-                    self.latency.observe(latency);
-                    self.queueing_sum += delay;
-                    if delay > self.queueing_max {
-                        self.queueing_max = delay;
-                    }
-                    let class = request.sla.priority() as usize;
-                    self.class_latency[class].observe(latency);
-                    self.class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        self.deadline_misses += 1;
-                        self.class_misses[class] += 1;
-                    }
-                }
-            }
-
-            if self.next_arrival >= self.requests.len() && self.queue.len() == 0 {
-                return Ok(()); // Everything delivered so far is served.
-            }
-
-            // Blocked: wait for the next arrival or (when the window is
-            // full) the next estimated completion, whichever comes first.
-            let mut t = f64::INFINITY;
-            if self.next_arrival < self.requests.len() {
-                t = self.requests[self.next_arrival].arrival + 0.0;
-            }
-            if self.queue.len() > 0 {
-                let Reverse(soonest) = self
-                    .inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if t > t_end {
-                return Ok(()); // Barrier: resume here next round.
-            }
-            // Replay timeline events due by then: each flip starts a new
-            // epoch whose cluster fingerprint re-keys planning AND routing.
-            while self.next_event < events.len() && events[self.next_event].time <= t {
-                let event = &events[self.next_event];
-                let c = self
-                    .epoch_cluster
-                    .as_mut()
-                    .expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                self.key.cluster_fingerprint = c.fingerprint();
-                self.fingerprint = c.fingerprint();
-                self.epoch += 1;
-                self.next_event += 1;
-            }
-            if t > self.now {
-                self.now = t;
-            }
-            while let Some(&Reverse(soonest)) = self.inflight.peek() {
-                if soonest.at <= self.now {
-                    self.inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            while self.next_arrival < self.requests.len()
-                && self.requests[self.next_arrival].arrival + 0.0 <= self.now
-            {
-                self.queue
-                    .push(self.next_arrival as u32, &self.requests, ctx.policy);
-                self.next_arrival += 1;
-            }
-        }
-    }
-
-    /// The failure-aware incremental loop: [`ClusterWorker::advance_inner`]
-    /// extended with the serving tier's kill semantics. Admitted batches
-    /// enter a pending FIFO instead of being observed immediately; a batch
-    /// is finalised (observed, WAN round trip included) once the clock
-    /// passes its completion, and killed when a down-flip lands on a node
-    /// its plan touches mid-flight. Killed members do **not** re-enter the
-    /// local queue — they go to `retry_out`, and the router re-routes them
-    /// away from this cluster next round (failover). On a fault-free
-    /// config the FIFO finalisation preserves the admission-order
-    /// observation sequence, so the run is bit-identical to the legacy
-    /// loop (pinned by `tests/chaos_robustness.rs`).
     ///
-    /// Two rules differ from the legacy loop by design, both WAN-aware:
-    /// earliest-deadline ranks by `arrival + deadline − WAN round trip`
-    /// (when the reply must *leave* this cluster — the deadline rule in
-    /// `hidp_sim::serving`) and shedding compares the same WAN-adjusted
-    /// deadline against the admission lower bound.
+    /// Admitted batches wait in the pending FIFO and are finalised
+    /// (observed, WAN round trip included) once the clock passes their
+    /// completion, in admission order. Under kill semantics a down-flip
+    /// landing on a node a pending batch's plan touches kills it; killed
+    /// members do **not** re-enter the local queue — they go to
+    /// `retry_out`, and the router re-routes them away from this cluster
+    /// next round (failover).
+    ///
+    /// Two rules are WAN-aware, unlike the serving tier's: earliest-deadline
+    /// ranks by `arrival + deadline − WAN round trip` (when the reply must
+    /// *leave* this cluster — the deadline rule in `hidp_sim::serving`) and
+    /// shedding compares the same WAN-adjusted deadline against the
+    /// admission lower bound. With zero WAN cost (a one-cluster fleet) both
+    /// reduce to the serving tier's rules.
     #[allow(clippy::too_many_arguments)]
-    fn advance_inner_robust(
+    fn advance_until(
         &mut self,
         ctx: &RoundCtx<'_>,
         base: &Cluster,
@@ -1514,7 +1349,6 @@ impl ClusterWorker {
             now,
             stats,
             pending,
-            pending_members,
             retry_out,
             robustness,
             adaptive,
@@ -1533,40 +1367,39 @@ impl ClusterWorker {
             ..
         } = self;
 
-        // Observes one surviving batch's members, in admission order
-        // (callers pop the pending FIFO front-first).
-        macro_rules! finalise {
-            ($b:expr) => {{
-                let b = $b;
-                let completion = b.effective_completion();
-                if completion > *makespan {
-                    *makespan = completion;
+        // Observes every batch settled by `$now`, in admission order.
+        macro_rules! finalise_settled {
+            ($now:expr) => {
+                while let Some((b, settled)) = pending.pop_settled($now) {
+                    let completion = b.effective_completion();
+                    if completion > *makespan {
+                        *makespan = completion;
+                    }
+                    robustness.completed += settled.len() as u64;
+                    for &m in settled {
+                        let request = &requests[m as usize];
+                        let lat = completion - request.arrival + wan2[m as usize];
+                        let delay = b.admitted - request.arrival;
+                        latency.observe(lat);
+                        if attempts_in[m as usize] > 0 {
+                            // This completion only happened because a retry was
+                            // re-routed here: its latency is the recovery cost.
+                            recovered_latency.observe(lat);
+                        }
+                        *queueing_sum += delay;
+                        if delay > *queueing_max {
+                            *queueing_max = delay;
+                        }
+                        let class = request.sla.priority() as usize;
+                        class_latency[class].observe(lat);
+                        class_queueing_sum[class] += delay;
+                        if lat > request.sla.deadline_seconds() {
+                            *deadline_misses += 1;
+                            class_misses[class] += 1;
+                        }
+                    }
                 }
-                robustness.completed += u64::from(b.members_len);
-                let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                for &m in &pending_members[span] {
-                    let request = &requests[m as usize];
-                    let lat = completion - request.arrival + wan2[m as usize];
-                    let delay = b.admitted - request.arrival;
-                    latency.observe(lat);
-                    if attempts_in[m as usize] > 0 {
-                        // This completion only happened because a retry was
-                        // re-routed here: its latency is the recovery cost.
-                        recovered_latency.observe(lat);
-                    }
-                    *queueing_sum += delay;
-                    if delay > *queueing_max {
-                        *queueing_max = delay;
-                    }
-                    let class = request.sla.priority() as usize;
-                    class_latency[class].observe(lat);
-                    class_queueing_sum[class] += delay;
-                    if lat > request.sla.deadline_seconds() {
-                        *deadline_misses += 1;
-                        class_misses[class] += 1;
-                    }
-                }
-            }};
+            };
         }
 
         loop {
@@ -1650,19 +1483,7 @@ impl ClusterWorker {
                     }));
                     *departure_seq += 1;
                 }
-                let members_start = pending_members.len() as u32;
-                pending_members.extend_from_slice(members);
-                pending.push_back(PendingBatch {
-                    admitted: *now,
-                    completion,
-                    hedge_completion: f64::INFINITY,
-                    mask,
-                    hedge_mask: 0,
-                    members_start,
-                    members_len: members.len() as u32,
-                    primary_alive: true,
-                    hedge_alive: false,
-                });
+                pending.push(PendingBatch::new(*now, completion, mask), members);
                 *batches += 1;
             }
 
@@ -1675,20 +1496,12 @@ impl ClusterWorker {
             } else {
                 None
             };
-            let kills_pending = next_down.is_some_and(|e| {
-                pending
-                    .iter()
-                    .any(|b| b.primary_alive && b.completion > e.time)
-            });
+            let kills_pending = next_down.is_some_and(|e| pending.runs_past(e.time));
             if !work_left && !kills_pending {
                 // Quiet until the next delivery: no remaining down-flip can
                 // touch what's pending, so its completions are settled —
                 // finalise in admission order and yield to the router.
-                while let Some(b) = pending.pop_front() {
-                    if b.alive() {
-                        finalise!(b);
-                    }
-                }
+                finalise_settled!(f64::INFINITY);
                 return Ok(());
             }
 
@@ -1736,47 +1549,36 @@ impl ClusterWorker {
                 if let Some(cfg) = ctx.adaptive.as_ref() {
                     adaptive.observe_kill(event.node.0, cfg);
                 }
-                let bit = 1u64 << (event.node.0 as u64 & 63);
-                for b in pending.iter_mut() {
-                    if !(b.primary_alive && b.completion > event.time && b.mask & bit != 0) {
-                        continue;
-                    }
-                    b.primary_alive = false;
-                    robustness.killed += u64::from(b.members_len);
-                    let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                    for &m in &pending_members[span] {
-                        let i = m as usize;
-                        let k = attempts_in[i] + 1;
-                        let retryable = ctx.recovery.retry.is_some_and(|r| k <= r.max_attempts);
-                        if !retryable {
-                            robustness.lost += 1;
-                            continue;
-                        }
-                        let policy = ctx.recovery.retry.expect("retryable implies a policy");
-                        let backoff =
-                            policy.backoff_base_s * policy.backoff_factor.powi(k as i32 - 1);
-                        let unit = fnv64(&[policy.seed, u64::from(global[i]), u64::from(k)]) as f64
-                            / u64::MAX as f64;
-                        let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                        if ctx.recovery.deadline_abort
-                            && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                        {
-                            robustness.aborted += 1;
-                        } else {
-                            // Back to the router, which re-routes it away
-                            // from this cluster next round.
-                            retry_out.push(FleetRetry {
-                                global: global[i],
-                                release,
-                                attempts: k,
-                            });
-                            robustness.retried += 1;
-                            if event.time < *first_retry {
-                                *first_retry = event.time + 0.0;
-                            }
+                pending.kill(event.node, event.time, |m| {
+                    robustness.killed += 1;
+                    let i = m as usize;
+                    let k = attempts_in[i] + 1;
+                    let Some(policy) = ctx.recovery.retry.filter(|r| k <= r.max_attempts) else {
+                        robustness.lost += 1;
+                        return;
+                    };
+                    let backoff = policy.backoff_base_s * policy.backoff_factor.powi(k as i32 - 1);
+                    let unit = fnv64(&[policy.seed, u64::from(global[i]), u64::from(k)]) as f64
+                        / u64::MAX as f64;
+                    let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
+                    if ctx.recovery.deadline_abort
+                        && release > requests[i].arrival + requests[i].sla.deadline_seconds()
+                    {
+                        robustness.aborted += 1;
+                    } else {
+                        // Back to the router, which re-routes it away from
+                        // this cluster next round.
+                        retry_out.push(FleetRetry {
+                            global: global[i],
+                            release,
+                            attempts: k,
+                        });
+                        robustness.retried += 1;
+                        if event.time < *first_retry {
+                            *first_retry = event.time + 0.0;
                         }
                     }
-                }
+                });
             }
             if t > *now {
                 *now = t;
@@ -1788,20 +1590,7 @@ impl ClusterWorker {
                     break;
                 }
             }
-            // Finalise batches the clock has passed, front-first so the
-            // observation order stays the admission order.
-            while let Some(front) = pending.front() {
-                if !front.alive() {
-                    pending.pop_front();
-                    continue;
-                }
-                if front.effective_completion() <= *now {
-                    let b = pending.pop_front().expect("front exists");
-                    finalise!(b);
-                } else {
-                    break;
-                }
-            }
+            finalise_settled!(*now);
             while *next_arrival < requests.len() && ready[*next_arrival] <= *now {
                 let idx = *next_arrival as u32;
                 let request = &requests[*next_arrival];
@@ -1837,7 +1626,7 @@ pub struct FleetSummary {
     pub latency: LatencySummary,
     /// Worst fleet latency, seconds (exact).
     pub max_latency: f64,
-    /// Mean queueing delay over all requests, seconds (exact; local
+    /// Mean queueing delay over completed requests, seconds (exact; local
     /// queueing, WAN excluded).
     pub mean_queueing_delay: f64,
     /// Worst queueing delay, seconds (exact).
@@ -1857,7 +1646,7 @@ pub struct FleetSummary {
     /// stays at its regional ingress).
     pub mean_wan_round_trip: f64,
     /// Offered/completed/dropped accounting including recovery traffic.
-    /// Trivially all-completed when the config enables no failure handling.
+    /// All-completed when nothing fails.
     pub robustness: RobustnessStats,
     /// Adaptive-loop accounting summed over cluster workers: re-plans
     /// triggered, rate observations fed, and dynamic dispatch energy.
@@ -1895,7 +1684,7 @@ impl FleetSummary {
 mod tests {
     use super::*;
     use crate::HidpStrategy;
-    use hidp_platform::presets;
+    use hidp_platform::{presets, Link, WanModel};
 
     /// A two-region stream mixing two models and all SLA classes.
     fn regional_burst(count: usize) -> Vec<FleetRequest> {
@@ -2089,14 +1878,14 @@ mod tests {
             RoutingPolicy::Locality,
             RoutingPolicy::Random { seed: 11 },
         ] {
-            let legacy = FleetScenario::new(requests.clone())
+            let plain = FleetScenario::new(requests.clone())
                 .with_routing(routing)
                 .with_max_inflight(Some(3))
                 .run_streaming(&strategy, &fleet, NodeIndex(1))
                 .unwrap();
             // Kill semantics armed, full recovery enabled — but no fault
-            // timeline ever fires, so the failure-aware loop must
-            // reproduce the legacy run bit for bit.
+            // timeline ever fires, so the run must match the plain config
+            // bit for bit.
             let robust = FleetScenario::new(requests.clone())
                 .with_routing(routing)
                 .with_max_inflight(Some(3))
@@ -2104,7 +1893,7 @@ mod tests {
                 .with_recovery(RecoveryPolicy::standard())
                 .run_streaming(&strategy, &fleet, NodeIndex(1))
                 .unwrap();
-            assert_eq!(legacy, robust, "{}", routing.name());
+            assert_eq!(plain, robust, "{}", routing.name());
             assert_eq!(robust.robustness, RobustnessStats::all_completed(80));
         }
     }
@@ -2169,6 +1958,50 @@ mod tests {
             "failover pays WAN: {} vs {}",
             recovered.mean_wan_round_trip,
             abandoned.mean_wan_round_trip
+        );
+    }
+
+    #[test]
+    fn earliest_deadline_ranks_by_when_the_reply_must_leave() {
+        // Fault-free, two regions. A least-loaded router with no per-route
+        // hint sends a one-round burst to cluster 0, so a request from
+        // region 1 (paying the WAN round trip) queues next to local ones
+        // behind a blocker. Earliest-deadline ranks by `arrival + deadline
+        // − WAN`: the remote request jumps the local one that arrived 1 ms
+        // before it. Admission instants do not depend on the order (same
+        // model, window of one), so the worst queueing delay moves from the
+        // remote request to the local one — 1 ms longer.
+        let wan = WanModel::uniform(2, Link::new(100.0, 10.0).unwrap()).unwrap();
+        let cluster = presets::paper_cluster();
+        let fleet = Fleet::new(vec![cluster.clone(), cluster], vec![0, 1], wan).unwrap();
+        let strategy = HidpStrategy::new();
+        let run = |last_region: usize| {
+            let requests = [(0.0, 0), (0.001, 0), (0.002, last_region)]
+                .map(|(at, region)| {
+                    FleetRequest::new(ServingRequest::new(WorkloadModel::InceptionV3, at), region)
+                })
+                .to_vec();
+            FleetScenario::new(requests)
+                .with_config(FleetConfig {
+                    routing: RoutingPolicy::LeastLoaded,
+                    policy: AdmissionPolicy::EarliestDeadline,
+                    max_inflight: Some(1),
+                    round_seconds: 10.0,
+                    route_cost_hint_s: 0.0,
+                    ..FleetConfig::default()
+                })
+                .run_streaming(&strategy, &fleet, NodeIndex(1))
+                .unwrap()
+        };
+        let local = run(0);
+        let remote = run(1);
+        assert_eq!(remote.busiest_cluster_requests, 3, "one cluster serves all");
+        assert!(remote.mean_wan_round_trip > 0.0);
+        assert_eq!(local.mean_wan_round_trip, 0.0);
+        let shift = remote.max_queueing_delay - local.max_queueing_delay;
+        assert!(
+            (shift - 0.001).abs() < 1e-9,
+            "remote request not ranked ahead: worst delay moved by {shift}"
         );
     }
 

@@ -51,6 +51,7 @@ mod fleet;
 mod global;
 mod local;
 mod parallel;
+mod pending;
 mod plan_cache;
 pub mod runtime;
 mod scenario;

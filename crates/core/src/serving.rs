@@ -45,8 +45,9 @@
 //!
 //! # The streaming (soak) mode
 //!
-//! [`ServingScenario::run_streaming`] runs the same indexed admission loop
-//! but retains **no per-request state**: latency and queueing tails go into
+//! [`ServingScenario::run_streaming`] runs the same indexed admission
+//! structures in one loop that serves every config — fault-free or not —
+//! and retains **no per-request state**: latency and queueing tails go into
 //! constant-memory P² sketches ([`StreamingTail`]), per-class aggregates
 //! into fixed arrays, and the result is an all-`Copy` [`ServingSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
@@ -89,11 +90,13 @@
 //! the admitted stream is simulated by the failure-aware event engine
 //! ([`hidp_sim::simulate_admitted_stream_faulty_in`]) and killed requests
 //! surface as [`FailureEvent`]s with infinite latency, excluded from the
-//! served metrics. A no-fault robust config is **bit-identical** to the
-//! fault-free paths (pinned by `tests/chaos_robustness.rs`).
+//! served metrics. In the streaming mode, arming kill semantics and
+//! recovery with no faults to act on is **bit-identical** to the plain
+//! config (pinned by `tests/chaos_robustness.rs`).
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
 use crate::fleet::fnv64;
+use crate::pending::{node_bit, plan_node_mask, PendingBatch, PendingFifo};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scenario::{Evaluation, Scenario};
 use crate::strategy::DistributedStrategy;
@@ -113,7 +116,7 @@ use hidp_sim::{
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One request entering the serving runtime: which model at which batch
@@ -320,6 +323,7 @@ pub struct RobustnessStats {
 
 impl RobustnessStats {
     /// The accounting for a fault-free run: everything offered completed.
+    #[cfg(test)]
     pub(crate) fn all_completed(n: usize) -> Self {
         Self {
             offered: n as u64,
@@ -620,8 +624,7 @@ impl ServingScenario {
             leader,
             cache,
             scratch,
-            false,
-            |now, epoch, members, plan, _| {
+            |now, epoch, members, plan| {
                 stream.push((requests[members[0] as usize].arrival, now, Arc::clone(plan)));
                 batches.push(AdmittedBatch {
                     admitted: now,
@@ -668,16 +671,40 @@ impl ServingScenario {
         self.finish(strategy, cluster, outcome, &mut scratch)
     }
 
-    /// Runs the serving loop in **streaming** mode: same indexed admission,
-    /// but no per-request records, no admission log and no full-stream
-    /// simulation — completions come from the dispatch model, latency tails
-    /// from constant-memory P² sketches, and the result is the all-`Copy`
-    /// [`ServingSummary`]. Memory is O(requests) for the input plus O(1)
-    /// for the aggregates, which is what the 1M-request soak runs on.
+    /// Runs the serving loop in **streaming** mode: the same admission
+    /// rules as the records mode, but no per-request records, no admission
+    /// log and no full-stream simulation — completions come from the
+    /// dispatch model, latency tails from constant-memory P² sketches, and
+    /// the result is the all-`Copy` [`ServingSummary`]. Memory is
+    /// O(requests) for the input plus O(batches in flight) for the loop,
+    /// which is what the 1M-request soak runs on.
+    ///
+    /// This one loop serves every config. Admitted batches wait in a
+    /// pending FIFO (admission order) until the virtual clock passes their
+    /// effective completion, and are then *finalised* — observed into the
+    /// latency tails — front-first, so the order-sensitive P² sketches see
+    /// the admission order. Under [`FailureMode::Kill`] a down-flip landing
+    /// on a node a pending batch's plan touches *kills* the batch, and its
+    /// members flow through the [`RecoveryPolicy`]. A config with no
+    /// faults, drift, stragglers or recovery simply never takes those
+    /// branches: arming recovery or estimation with nothing to act on is
+    /// bit-identical to the plain config (pinned by
+    /// `tests/chaos_robustness.rs` and `tests/drift_adaptive.rs`).
+    ///
+    /// Retried requests keep their original arrival and input index: the
+    /// deadline rule (see `hidp_sim::serving`) measures SLA misses
+    /// arrival → *final* completion across every attempt, and re-planning
+    /// flows through the shared [`PlanCache`] keyed by the post-failure
+    /// cluster fingerprint. Hedge copies consume real estimator capacity
+    /// (a hedge is not free) and are planned against the epoch cluster
+    /// with the primary's most exposed non-leader node marked down, so the
+    /// copy survives exactly the failure most likely to kill the primary.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ServingScenario::run`].
+    /// Same conditions as [`ServingScenario::run`], plus
+    /// [`CoreError::Infeasible`] when no request completes under the fault
+    /// timeline.
     pub fn run_streaming(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -695,7 +722,7 @@ impl ServingScenario {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ServingScenario::run`].
+    /// Same conditions as [`ServingScenario::run_streaming`].
     pub fn run_streaming_with_cache_in(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -705,109 +732,6 @@ impl ServingScenario {
         scratch: &mut ServingScratch,
     ) -> Result<ServingSummary, CoreError> {
         self.validate(cluster)?;
-        if self.config.is_robust() {
-            return self.run_robust_streaming(strategy, cluster, leader, cache, scratch);
-        }
-        let requests = &self.requests;
-        let mut latency_tail = StreamingTail::new();
-        let mut queueing_tail = StreamingTail::new();
-        let mut class_tail = [StreamingTail::new(); 3];
-        let mut class_queueing_sum = [0.0f64; 3];
-        let mut class_misses = [0usize; 3];
-        let mut deadline_misses = 0usize;
-        let mut makespan = 0.0f64;
-        let mut batch_count = 0usize;
-        let (stats, epochs_applied) = self.indexed_admission(
-            strategy,
-            cluster,
-            leader,
-            cache,
-            scratch,
-            true,
-            |now, _epoch, members, _plan, completion| {
-                let completion = completion.expect("streaming mode always estimates");
-                batch_count += 1;
-                if completion > makespan {
-                    makespan = completion;
-                }
-                for &m in members {
-                    let request = &requests[m as usize];
-                    let latency = completion - request.arrival;
-                    let delay = now - request.arrival;
-                    latency_tail.observe(latency);
-                    queueing_tail.observe(delay);
-                    let class = request.sla.priority() as usize;
-                    class_tail[class].observe(latency);
-                    class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        deadline_misses += 1;
-                        class_misses[class] += 1;
-                    }
-                }
-            },
-        )?;
-        let mut per_class = [None; 3];
-        for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = class_tail[c].summary() {
-                per_class[c] = Some(SlaClassReport {
-                    class,
-                    latency,
-                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: class_misses[c],
-                });
-            }
-        }
-        Ok(ServingSummary {
-            requests: requests.len(),
-            batches: batch_count,
-            epochs_applied,
-            makespan,
-            latency: latency_tail.summary().expect("scenario is non-empty"),
-            mean_queueing_delay: queueing_tail.mean(),
-            max_queueing_delay: queueing_tail.max(),
-            deadline_misses,
-            per_class,
-            plan_cache: stats,
-            robustness: RobustnessStats::all_completed(requests.len()),
-            drift: DriftStats {
-                replans: 0,
-                observations: 0,
-                energy_j: scratch.dispatch.energy_j,
-            },
-        })
-    }
-
-    /// The failure-aware streaming loop: the same indexed admission as
-    /// [`ServingScenario::run_streaming`], extended with kill semantics and
-    /// the [`RecoveryPolicy`] responses.
-    ///
-    /// Structurally, admitted batches enter a pending FIFO (admission
-    /// order) instead of being observed immediately; a batch is
-    /// *finalised* — observed into the latency tails — once the virtual
-    /// clock passes its effective completion, and *killed* when a
-    /// down-flip lands on a node its plan touches while it is still in
-    /// flight. Because finalisation pops the FIFO in admission order, a
-    /// fault-free robust run feeds the order-sensitive P² sketches exactly
-    /// the sequence the legacy loop does, which is what makes the no-fault
-    /// degenerate config bit-identical to `run_streaming` (pinned by
-    /// `tests/chaos_robustness.rs`).
-    ///
-    /// Retried requests keep their original arrival and input index: the
-    /// deadline rule (see `hidp_sim::serving`) measures SLA misses
-    /// arrival → *final* completion across every attempt, and re-planning
-    /// flows through the shared [`PlanCache`] keyed by the post-failure
-    /// cluster fingerprint. Hedge copies consume real estimator capacity
-    /// (a hedge is not free) and are planned against the epoch cluster
-    /// with the primary's most exposed non-leader node marked down, so the
-    /// copy survives exactly the failure most likely to kill the primary.
-    fn run_robust_streaming(
-        &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-        scratch: &mut ServingScratch,
-    ) -> Result<ServingSummary, CoreError> {
         let requests = &self.requests;
         let n = requests.len();
         let max_inflight = self.config.max_inflight.map(|w| w.max(1));
@@ -827,7 +751,6 @@ impl ServingScenario {
             inflight,
             epoch_cluster,
             pending,
-            pending_members,
             retries,
             attempts,
             hedge_cluster,
@@ -855,10 +778,12 @@ impl ServingScenario {
         dispatch.reset();
         inflight.clear();
         pending.clear();
-        pending_members.clear();
         retries.clear();
+        // Attempt counts only matter once something can be killed.
         attempts.clear();
-        attempts.resize(n, 0u32);
+        if kill {
+            attempts.resize(n, 0u32);
+        }
         // Reset also deactivates any belief a previous run materialised: a
         // non-adaptive run must not inherit it, and an adaptive steady-state
         // pass must rediscover it exactly like the warm pass did.
@@ -906,32 +831,32 @@ impl ServingScenario {
             ..RobustnessStats::default()
         };
 
-        // Observes one surviving batch's members into the tails, in
-        // admission order (callers pop the pending FIFO front-first).
-        macro_rules! finalise {
-            ($b:expr) => {{
-                let b = $b;
-                let completion = b.effective_completion();
-                if completion > makespan {
-                    makespan = completion;
-                }
-                robustness.completed += u64::from(b.members_len);
-                let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                for &m in &pending_members[span] {
-                    let request = &requests[m as usize];
-                    let latency = completion - request.arrival;
-                    let delay = b.admitted - request.arrival;
-                    latency_tail.observe(latency);
-                    queueing_tail.observe(delay);
-                    let class = request.sla.priority() as usize;
-                    class_tail[class].observe(latency);
-                    class_queueing_sum[class] += delay;
-                    if latency > request.sla.deadline_seconds() {
-                        deadline_misses += 1;
-                        class_misses[class] += 1;
+        // Observes every batch settled by `$now` into the tails, in
+        // admission order.
+        macro_rules! finalise_settled {
+            ($now:expr) => {
+                while let Some((b, settled)) = pending.pop_settled($now) {
+                    let completion = b.effective_completion();
+                    if completion > makespan {
+                        makespan = completion;
+                    }
+                    robustness.completed += settled.len() as u64;
+                    for &m in settled {
+                        let request = &requests[m as usize];
+                        let latency = completion - request.arrival;
+                        let delay = b.admitted - request.arrival;
+                        latency_tail.observe(latency);
+                        queueing_tail.observe(delay);
+                        let class = request.sla.priority() as usize;
+                        class_tail[class].observe(latency);
+                        class_queueing_sum[class] += delay;
+                        if latency > request.sla.deadline_seconds() {
+                            deadline_misses += 1;
+                            class_misses[class] += 1;
+                        }
                     }
                 }
-            }};
+            };
         }
 
         loop {
@@ -992,6 +917,10 @@ impl ServingScenario {
                 } else {
                     stats.misses += 1;
                 }
+                // Measured-completion feedback: replay the plan against the
+                // resource free times every earlier admission left behind,
+                // on the base cluster (the one the records mode's final
+                // simulation measures on).
                 let completion = dispatch.estimate_full(
                     plan.as_ref(),
                     cluster,
@@ -1005,12 +934,10 @@ impl ServingScenario {
                 } else {
                     0
                 };
+                let mut batch = PendingBatch::new(now, completion, mask);
 
-                let mut hedge_completion = f64::INFINITY;
-                let mut hedge_mask = 0u64;
-                let mut hedge_alive = false;
                 if recovery.hedge_premium && head.sla == SlaClass::Premium {
-                    let exposed = mask & !(1u64 << (leader.0 as u64 & 63));
+                    let exposed = mask & !node_bit(leader);
                     if exposed != 0 {
                         let avoid = NodeIndex(exposed.trailing_zeros() as usize);
                         let base: &Cluster = current.as_deref().unwrap_or(cluster);
@@ -1040,7 +967,7 @@ impl ServingScenario {
                                 // Hedge copies run on the same drifting
                                 // truth but feed no observer — one batch
                                 // must not count twice in the estimators.
-                                hedge_completion = dispatch.estimate_full(
+                                let hedge_completion = dispatch.estimate_full(
                                     hedge_plan.as_ref(),
                                     cluster,
                                     now,
@@ -1048,39 +975,26 @@ impl ServingScenario {
                                     drift,
                                     None,
                                 )?;
-                                hedge_mask = if kill {
+                                let hedge_mask = if kill {
                                     plan_node_mask(hedge_plan.as_ref())
                                 } else {
                                     0
                                 };
-                                hedge_alive = true;
+                                batch = batch.with_hedge(hedge_completion, hedge_mask);
                                 robustness.hedged += members.len() as u64;
                             }
                         }
                     }
                 }
 
-                let effective = completion.min(hedge_completion);
                 if max_inflight.is_some() {
                     inflight.push(Reverse(Departure {
-                        at: effective,
+                        at: batch.effective_completion(),
                         seq: departure_seq,
                     }));
                     departure_seq += 1;
                 }
-                let members_start = pending_members.len() as u32;
-                pending_members.extend_from_slice(members);
-                pending.push_back(PendingBatch {
-                    admitted: now,
-                    completion,
-                    hedge_completion,
-                    mask,
-                    hedge_mask,
-                    members_start,
-                    members_len: members.len() as u32,
-                    primary_alive: true,
-                    hedge_alive,
-                });
+                pending.push(batch, members);
                 batch_count += 1;
             }
 
@@ -1088,26 +1002,16 @@ impl ServingScenario {
             // Remaining down-flips can still kill pending work even after
             // the queue drains, so the clock must keep walking events while
             // any pending copy outlives the next *down* event (up events
-            // never kill, so they alone never drive the clock — exactly
-            // the legacy loop's behaviour on up-only timelines).
+            // never kill, so they alone never drive the clock).
             let next_down = if kill {
                 events[next_event..].iter().find(|e| !e.up)
             } else {
                 None
             };
-            let kills_pending = next_down.is_some_and(|e| {
-                pending.iter().any(|b| {
-                    (b.primary_alive && b.completion > e.time)
-                        || (b.hedge_alive && b.hedge_completion > e.time)
-                })
-            });
+            let kills_pending = next_down.is_some_and(|e| pending.runs_past(e.time));
             if !work_left && !kills_pending {
                 // Drain: finalise every surviving batch in admission order.
-                while let Some(b) = pending.pop_front() {
-                    if b.alive() {
-                        finalise!(b);
-                    }
-                }
+                finalise_settled!(f64::INFINITY);
                 break;
             }
 
@@ -1131,11 +1035,9 @@ impl ServingScenario {
                 let down = next_down.expect("kills_pending implies a down event");
                 t = t.min(down.time + 0.0);
             }
-            // Replay timeline events due by then. Each flip re-keys later
-            // planning; under kill semantics a down-flip additionally kills
-            // every pending copy whose plan touches the node and whose
-            // completion lies beyond the flip (work finished by the flip
-            // instant was already committed — the engine's rule).
+            // Replay timeline events due by then. Each flip starts a new
+            // epoch whose cluster fingerprint re-keys later planning; under
+            // kill semantics a down-flip also kills pending work.
             while next_event < events.len() && events[next_event].time <= t {
                 let event = events[next_event];
                 let c = current.as_mut().expect("events imply an epoch cluster");
@@ -1155,51 +1057,36 @@ impl ServingScenario {
                 if let Some(cfg) = acfg.as_ref() {
                     adaptive.observe_kill(event.node.0, cfg);
                 }
-                let bit = 1u64 << (event.node.0 as u64 & 63);
-                for b in pending.iter_mut() {
-                    let was_alive = b.alive();
-                    if b.primary_alive && b.completion > event.time && b.mask & bit != 0 {
-                        b.primary_alive = false;
+                // Every copy of the batch is gone: the members flow
+                // through the recovery policy.
+                pending.kill(event.node, event.time, |m| {
+                    robustness.killed += 1;
+                    let i = m as usize;
+                    attempts[i] += 1;
+                    let Some(policy) = retry_policy.filter(|r| attempts[i] <= r.max_attempts)
+                    else {
+                        robustness.lost += 1;
+                        return;
+                    };
+                    let backoff =
+                        policy.backoff_base_s * policy.backoff_factor.powi(attempts[i] as i32 - 1);
+                    let unit = fnv64(&[policy.seed, m as u64, u64::from(attempts[i])]) as f64
+                        / u64::MAX as f64;
+                    let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
+                    if recovery.deadline_abort
+                        && release > requests[i].arrival + requests[i].sla.deadline_seconds()
+                    {
+                        robustness.aborted += 1;
+                    } else {
+                        retries.push(Reverse(RetryEntry {
+                            release,
+                            seq: retry_seq,
+                            idx: m,
+                        }));
+                        retry_seq += 1;
+                        robustness.retried += 1;
                     }
-                    if b.hedge_alive && b.hedge_completion > event.time && b.hedge_mask & bit != 0 {
-                        b.hedge_alive = false;
-                    }
-                    if !was_alive || b.alive() {
-                        continue;
-                    }
-                    // Every copy is gone: the members are killed and flow
-                    // through the recovery policy.
-                    robustness.killed += u64::from(b.members_len);
-                    let span = b.members_start as usize..(b.members_start + b.members_len) as usize;
-                    for &m in &pending_members[span] {
-                        let i = m as usize;
-                        attempts[i] += 1;
-                        let retryable = retry_policy.is_some_and(|r| attempts[i] <= r.max_attempts);
-                        if !retryable {
-                            robustness.lost += 1;
-                            continue;
-                        }
-                        let policy = retry_policy.expect("retryable implies a policy");
-                        let backoff = policy.backoff_base_s
-                            * policy.backoff_factor.powi(attempts[i] as i32 - 1);
-                        let unit = fnv64(&[policy.seed, m as u64, u64::from(attempts[i])]) as f64
-                            / u64::MAX as f64;
-                        let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                        if recovery.deadline_abort
-                            && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                        {
-                            robustness.aborted += 1;
-                        } else {
-                            retries.push(Reverse(RetryEntry {
-                                release,
-                                seq: retry_seq,
-                                idx: m,
-                            }));
-                            retry_seq += 1;
-                            robustness.retried += 1;
-                        }
-                    }
-                }
+                });
             }
             if t > now {
                 now = t;
@@ -1211,20 +1098,7 @@ impl ServingScenario {
                     break;
                 }
             }
-            // Finalise batches the clock has passed, front-first so the
-            // observation order stays the admission order.
-            while let Some(front) = pending.front() {
-                if !front.alive() {
-                    pending.pop_front();
-                    continue;
-                }
-                if front.effective_completion() <= now {
-                    let b = pending.pop_front().expect("front exists");
-                    finalise!(b);
-                } else {
-                    break;
-                }
-            }
+            finalise_settled!(now);
             // Released retries re-enter ahead of same-instant fresh
             // arrivals: a retried request is strictly older work.
             while let Some(&Reverse(entry)) = retries.peek() {
@@ -1365,15 +1239,13 @@ impl ServingScenario {
         Ok(())
     }
 
-    /// The indexed virtual-clock loop shared by the records and streaming
-    /// modes: walks arrivals, timeline events and estimated completions;
-    /// admits batches per policy through the [`IndexedQueue`]; plans each
-    /// batch against the current epoch's cluster through `cache`; and hands
-    /// every admitted batch to `on_admit` as
-    /// `(now, epoch, members, plan, estimated completion)`. Completions are
-    /// estimated whenever the window is bounded or `always_estimate` is set
-    /// (streaming mode), via the persistent [`DispatchEstimator`].
-    #[allow(clippy::too_many_arguments)]
+    /// The records mode's indexed virtual-clock loop: walks arrivals,
+    /// timeline events and estimated completions; admits batches per policy
+    /// through the [`IndexedQueue`]; plans each batch against the current
+    /// epoch's cluster through `cache`; and hands every admitted batch to
+    /// `on_admit` as `(now, epoch, members, plan)`. Completions are
+    /// estimated, via the persistent [`DispatchEstimator`], only to gate a
+    /// bounded window — the event engine measures the reported ones.
     fn indexed_admission(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -1381,8 +1253,7 @@ impl ServingScenario {
         leader: NodeIndex,
         cache: &PlanCache,
         scratch: &mut ServingScratch,
-        always_estimate: bool,
-        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>, Option<f64>),
+        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
     ) -> Result<(PlanCacheStats, usize), CoreError> {
         let requests = &self.requests;
         let n = requests.len();
@@ -1390,7 +1261,6 @@ impl ServingScenario {
         // wait on an in-flight completion that cannot exist); serving
         // requires at least one slot, so Some(0) is clamped like max_batch.
         let max_inflight = self.config.max_inflight.map(|w| w.max(1));
-        let need_estimate = always_estimate || max_inflight.is_some();
         let ServingScratch {
             key,
             order,
@@ -1479,19 +1349,14 @@ impl ServingScenario {
                 // resource free times every earlier admission left behind.
                 // Estimates run on the base cluster — the same one the
                 // records mode's final simulation measures on.
-                let completion = if need_estimate {
-                    Some(dispatch.estimate(plan.as_ref(), cluster, now)?)
-                } else {
-                    None
-                };
                 if max_inflight.is_some() {
                     inflight.push(Reverse(Departure {
-                        at: completion.expect("bounded window implies estimation"),
+                        at: dispatch.estimate(plan.as_ref(), cluster, now)?,
                         seq: departure_seq,
                     }));
                     departure_seq += 1;
                 }
-                on_admit(now, epoch, members, &plan, completion);
+                on_admit(now, epoch, members, &plan);
             }
 
             if next_arrival >= n && queue.len() == 0 {
@@ -1810,18 +1675,6 @@ impl ServingScenario {
 }
 
 impl ServingConfig {
-    /// Whether any robustness feature is enabled: kill semantics, a
-    /// recovery response, straggler windows, a drift model or the adaptive
-    /// loop. Robust configs take the failure-aware streaming loop;
-    /// everything else takes the legacy paths unchanged.
-    pub fn is_robust(&self) -> bool {
-        self.failures == FailureMode::Kill
-            || self.recovery.is_active()
-            || !self.slowdowns.is_empty()
-            || !self.drift.is_empty()
-            || self.adaptive.is_some()
-    }
-
     /// The queue position the configured policy admits next (queue is in
     /// arrival order, so FIFO is position 0 and every tie breaks toward the
     /// earlier position). Used only by the reference loop; the indexed
@@ -1872,44 +1725,6 @@ impl Ord for Departure {
     }
 }
 
-/// One admitted batch awaiting its estimated completion in the robust
-/// streaming loop, with kill-tracking state: which nodes each copy's plan
-/// touches (64-bit masks — `validate` gates kill semantics to ≤ 64-node
-/// clusters) and whether each copy is still alive. The member indices
-/// live in the scratch's shared pool at `members_start..+members_len`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingBatch {
-    pub(crate) admitted: f64,
-    pub(crate) completion: f64,
-    /// Estimated completion of the hedge copy (`INFINITY` when none).
-    pub(crate) hedge_completion: f64,
-    pub(crate) mask: u64,
-    pub(crate) hedge_mask: u64,
-    pub(crate) members_start: u32,
-    pub(crate) members_len: u32,
-    pub(crate) primary_alive: bool,
-    pub(crate) hedge_alive: bool,
-}
-
-impl PendingBatch {
-    pub(crate) fn alive(&self) -> bool {
-        self.primary_alive || self.hedge_alive
-    }
-
-    /// The earliest completion among surviving copies (`INFINITY` when
-    /// every copy is dead — callers skip such batches).
-    pub(crate) fn effective_completion(&self) -> f64 {
-        let mut t = f64::INFINITY;
-        if self.primary_alive {
-            t = self.completion;
-        }
-        if self.hedge_alive && self.hedge_completion < t {
-            t = self.hedge_completion;
-        }
-        t
-    }
-}
-
 /// A killed request awaiting its backoff release in the retry heap,
 /// ordered by release time, ties by push sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1933,23 +1748,6 @@ impl Ord for RetryEntry {
             .total_cmp(&other.release)
             .then(self.seq.cmp(&other.seq))
     }
-}
-
-/// The set of nodes a plan's tasks touch — compute targets and both
-/// transfer endpoints — as a 64-bit mask. This is the same residency rule
-/// the failure-aware engine applies per task, lifted to whole batches.
-pub(crate) fn plan_node_mask(plan: &ExecutionPlan) -> u64 {
-    let mut mask = 0u64;
-    for task in plan.tasks() {
-        match &task.kind {
-            TaskKind::Compute { target, .. } => mask |= 1u64 << (target.node.0 as u64 & 63),
-            TaskKind::Transfer { from, to, .. } => {
-                mask |= 1u64 << (from.0 as u64 & 63);
-                mask |= 1u64 << (to.0 as u64 & 63);
-            }
-        }
-    }
-    mask
 }
 
 /// What the admission loop hands to the simulation half.
@@ -2013,7 +1811,7 @@ pub struct ServingSummary {
     /// Latency tail over all requests (p50/p95/p99 are P² estimates; count,
     /// mean and the separately tracked max are exact).
     pub latency: LatencySummary,
-    /// Mean queueing delay over all requests, seconds (exact).
+    /// Mean queueing delay over completed requests, seconds (exact).
     pub mean_queueing_delay: f64,
     /// Worst queueing delay, seconds (exact).
     pub max_queueing_delay: f64,
@@ -2077,12 +1875,10 @@ pub struct ServingScratch {
     dispatch: DispatchEstimator,
     inflight: BinaryHeap<Reverse<Departure>>,
     epoch_cluster: Option<Cluster>,
-    /// Robust-loop state: admitted batches awaiting completion (FIFO in
-    /// admission order), their member indices (a shared pool the batches
-    /// slice into), the retry heap, per-request attempt counts and the
-    /// reusable hedge-planning cluster.
-    pending: VecDeque<PendingBatch>,
-    pending_members: Vec<u32>,
+    /// Admitted batches awaiting completion (admission order), the retry
+    /// heap, per-request attempt counts (sized only under kill semantics)
+    /// and the reusable hedge-planning cluster.
+    pending: PendingFifo,
     retries: BinaryHeap<Reverse<RetryEntry>>,
     attempts: Vec<u32>,
     hedge_cluster: Option<Cluster>,
@@ -2111,8 +1907,7 @@ impl ServingScratch {
             dispatch: DispatchEstimator::default(),
             inflight: BinaryHeap::new(),
             epoch_cluster: None,
-            pending: VecDeque::new(),
-            pending_members: Vec::new(),
+            pending: PendingFifo::default(),
             retries: BinaryHeap::new(),
             attempts: Vec::new(),
             hedge_cluster: None,
@@ -2922,7 +2717,7 @@ mod tests {
 
     #[test]
     fn streaming_mode_agrees_with_records_mode_on_admission_facts() {
-        // The two modes share the admission loop, so everything the
+        // The two modes run the same admission rules, so everything the
         // admission layer determines — counts, batching, epochs, cache
         // traffic, queueing delays — must agree exactly. (Completions
         // differ by design: records measures the event engine, streaming
@@ -3018,8 +2813,8 @@ mod tests {
     #[test]
     fn no_fault_robust_config_is_bit_identical_to_run_streaming() {
         // Kill semantics + retry + deadline abort with an empty timeline
-        // (and with an up-only timeline) must reproduce the legacy
-        // streaming loop bit for bit, field by field.
+        // (and with an up-only timeline) have nothing to act on: the run
+        // must match the plain config bit for bit, field by field.
         let cluster = presets::paper_cluster();
         let strategy = HidpStrategy::new();
         let up_only = {
@@ -3038,18 +2833,63 @@ mod tests {
                     .clone()
                     .with_failure_mode(FailureMode::Kill)
                     .with_recovery(RecoveryPolicy::standard());
-                let legacy = base
+                let plain = base
                     .run_streaming(&strategy, &cluster, NodeIndex(1))
                     .unwrap();
                 let recovered = robust
                     .run_streaming(&strategy, &cluster, NodeIndex(1))
                     .unwrap();
-                assert_eq!(legacy, recovered, "policy {}", policy.name());
+                assert_eq!(plain, recovered, "policy {}", policy.name());
                 assert_eq!(
                     recovered.robustness,
                     RobustnessStats::all_completed(base.len())
                 );
             }
+        }
+    }
+
+    #[test]
+    fn long_no_fault_run_keeps_per_request_buffers_bounded() {
+        // 20k requests through a window of 4 batches of up to 8, plain and
+        // with recovery armed (nothing is ever killed without kill
+        // semantics): the pending FIFO's member pool stays at the in-flight
+        // scale instead of growing to one entry per request, and no attempt
+        // counts are kept at all.
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        let n = 20_000;
+        let requests: Vec<ServingRequest> = (0..n)
+            .map(|i| {
+                let model = if i % 2 == 0 {
+                    WorkloadModel::EfficientNetB0
+                } else {
+                    WorkloadModel::InceptionV3
+                };
+                ServingRequest::new(model, i as f64 * 0.02)
+                    .with_sla(SlaClass::ALL[i % SlaClass::ALL.len()])
+            })
+            .collect();
+        let plain = ServingScenario::new(requests)
+            .with_policy(AdmissionPolicy::EarliestDeadline)
+            .with_max_batch(8)
+            .with_max_inflight(Some(4));
+        let armed = plain.clone().with_recovery(RecoveryPolicy::standard());
+        for scenario in [plain, armed] {
+            let mut scratch = ServingScratch::new();
+            let summary = scenario
+                .run_streaming_with_cache_in(
+                    &strategy,
+                    &cluster,
+                    NodeIndex(1),
+                    &PlanCache::new(),
+                    &mut scratch,
+                )
+                .unwrap();
+            assert_eq!(summary.robustness, RobustnessStats::all_completed(n));
+            let pool = scratch.pending.member_capacity();
+            assert!(pool <= 4096, "member pool grew to {pool} entries");
+            assert!(scratch.attempts.is_empty());
+            assert_eq!(scratch.attempts.capacity(), 0);
         }
     }
 

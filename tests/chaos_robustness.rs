@@ -2,9 +2,10 @@
 //!
 //! Four families of guarantees pin the chaos machinery:
 //!
-//! 1. **No-fault pinning** — enabling kill semantics and recovery with no
-//!    faults to act on must reproduce the legacy serving and fleet loops
-//!    bit for bit, summary field by summary field.
+//! 1. **No-fault pinning** — serving and fleet runs take one loop each,
+//!    whatever the config. Arming kill semantics and recovery with no
+//!    faults to act on must reproduce the plain config on that loop bit
+//!    for bit, summary field by summary field: idle recovery does nothing.
 //! 2. **Conservation** — under a seeded fault suite, every recovery policy
 //!    keeps the accounting invariant `offered == completed + dropped +
 //!    in_flight_at_horizon`; with bounded-but-generous retries and no
@@ -103,7 +104,7 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
         .with_policy(AdmissionPolicy::EarliestDeadline)
         .with_max_batch(4)
         .with_max_inflight(Some(2));
-    let legacy = base
+    let plain = base
         .clone()
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
@@ -112,7 +113,7 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
         .with_recovery(RecoveryPolicy::standard())
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
-    assert_eq!(legacy, robust, "serving no-fault robust path diverged");
+    assert_eq!(plain, robust, "serving no-fault robust path diverged");
     let r = robust.robustness;
     assert_eq!(r.offered, requests.len() as u64);
     assert_eq!(r.completed, requests.len() as u64);
@@ -134,14 +135,14 @@ fn no_fault_robust_serving_and_fleet_pin_to_legacy() {
             .with_routing(routing)
             .with_max_batch(4)
             .with_max_inflight(Some(2));
-        let legacy = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
+        let plain = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
         let robust = base
             .clone()
             .with_failure_mode(FailureMode::Kill)
             .with_recovery(RecoveryPolicy::standard())
             .run_streaming(&strategy, &fleet, LEADER)
             .unwrap();
-        assert_eq!(legacy, robust, "{} no-fault robust path", routing.name());
+        assert_eq!(plain, robust, "{} no-fault robust path", routing.name());
         assert_eq!(robust.robustness.offered, fleet_requests.len() as u64);
         assert_eq!(robust.robustness.completed, fleet_requests.len() as u64);
         assert_eq!(robust.robustness.dropped(), 0);

@@ -6,9 +6,11 @@
 //!    EWMA effective-rate estimate tracks the injected slowdown factor
 //!    within a bounded number of completions, and nodes that do not drift
 //!    keep their estimate at exactly 1.0.
-//! 2. **No-drift pinning** — arming estimation with nothing drifting must
-//!    reproduce the legacy serving and fleet loops bit for bit; observing
-//!    ratios of 1.0 never leaves the hysteresis band.
+//! 2. **No-drift pinning** — serving and fleet runs take one loop each,
+//!    whatever the config. Arming estimation with nothing drifting must
+//!    reproduce the plain config on that loop bit for bit (bar the
+//!    observation count): observing ratios of 1.0 never leaves the
+//!    hysteresis band.
 //! 3. **Bounded re-planning** — under a seeded drift trace the loop
 //!    re-plans at least once and never more than `max_replans`, and the
 //!    whole run replays bit-identically.
@@ -147,7 +149,7 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
         .with_policy(AdmissionPolicy::EarliestDeadline)
         .with_max_batch(8)
         .with_max_inflight(Some(4));
-    let legacy = base
+    let plain = base
         .clone()
         .run_streaming(&strategy, &cluster, LEADER)
         .unwrap();
@@ -158,8 +160,8 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
     assert_eq!(adaptive.drift.replans, 0);
     assert!(adaptive.drift.observations > 0);
     let mut pinned = adaptive;
-    pinned.drift.observations = legacy.drift.observations;
-    assert_eq!(pinned, legacy, "serving no-drift adaptive path diverged");
+    pinned.drift.observations = plain.drift.observations;
+    assert_eq!(pinned, plain, "serving no-drift adaptive path diverged");
 
     // Fleet tier: same pinning.
     let fleet = presets::generated_fleet(3, 2).unwrap();
@@ -168,7 +170,7 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
         .with_routing(RoutingPolicy::LeastLoaded)
         .with_max_batch(4)
         .with_max_inflight(Some(2));
-    let legacy = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
+    let plain = base.run_streaming(&strategy, &fleet, LEADER).unwrap();
     let adaptive = base
         .clone()
         .with_adaptive(AdaptiveConfig::default())
@@ -177,8 +179,8 @@ fn no_drift_adaptive_serving_and_fleet_pin_to_legacy() {
     assert_eq!(adaptive.drift.replans, 0);
     assert!(adaptive.drift.observations > 0);
     let mut pinned = adaptive;
-    pinned.drift.observations = legacy.drift.observations;
-    assert_eq!(pinned, legacy, "fleet no-drift adaptive path diverged");
+    pinned.drift.observations = plain.drift.observations;
+    assert_eq!(pinned, plain, "fleet no-drift adaptive path diverged");
 }
 
 #[test]

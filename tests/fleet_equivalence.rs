@@ -6,7 +6,8 @@
 //!    policy collapses to "send everything to cluster 0" and the WAN cost
 //!    is zero, so the fleet run must agree with
 //!    `ServingScenario::run_streaming` on the same requests and serving
-//!    config — exactly, on every exactly-tracked aggregate. (Percentiles
+//!    config — exactly, on every exactly-tracked aggregate, with or without
+//!    drift, stragglers, the adaptive loop and kill semantics. (Percentiles
 //!    are excluded by design: the single-cluster path estimates them with
 //!    P² sketches, the fleet with mergeable log-histograms.)
 //! 2. **Thread-count invariance**: the sweep only decides *which thread*
@@ -15,11 +16,15 @@
 //!    failure timelines in play.
 
 use hidp::core::{
-    AdmissionPolicy, FleetScenario, FleetScratch, ParallelSweep, RoutingPolicy, ServingScenario,
-    SlaClass,
+    AdaptiveConfig, AdmissionPolicy, FailureMode, FleetScenario, FleetScratch, ParallelSweep,
+    RoutingPolicy, ServingScenario, SlaClass,
 };
-use hidp::platform::{presets, Cluster, ClusterTimeline, Fleet, Link, NodeIndex, WanModel};
-use hidp::workloads::{poisson_stream_classed, regional_diurnal_stream, FleetRequest};
+use hidp::platform::{
+    presets, Cluster, ClusterTimeline, DriftModel, Fleet, Link, NodeIndex, SlowdownWindow, WanModel,
+};
+use hidp::workloads::{
+    poisson_stream_classed, regional_diurnal_stream, standard_drift_suite, FleetRequest,
+};
 use hidp::{HidpStrategy, WorkloadModel};
 
 const LEADER: NodeIndex = NodeIndex(1);
@@ -58,80 +63,152 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
         .unwrap()
         .node_up(6.0, NodeIndex(3))
         .unwrap();
+    let horizon = serving_requests
+        .iter()
+        .map(|r| r.arrival)
+        .fold(1.0, f64::max);
+    let drift = standard_drift_suite(&[cluster.len()], 0xd21f7, horizon, LEADER)
+        .unwrap()
+        .remove(0);
+    let slowdown = SlowdownWindow {
+        node: NodeIndex(0),
+        start: 2.0,
+        end: 8.0,
+        factor: 2.5,
+    };
+    // (name, drift, stragglers, adaptive loop, failure mode): the plain
+    // config, each robust input alone, and all of them at once. Kill runs
+    // have no retry, so the killed requests are lost.
+    let variants: [(&str, DriftModel, Vec<SlowdownWindow>, bool, FailureMode); 6] = [
+        (
+            "plain",
+            DriftModel::default(),
+            vec![],
+            false,
+            FailureMode::Ignore,
+        ),
+        ("drift", drift.clone(), vec![], false, FailureMode::Ignore),
+        (
+            "slowdown",
+            DriftModel::default(),
+            vec![slowdown],
+            false,
+            FailureMode::Ignore,
+        ),
+        (
+            "adaptive",
+            DriftModel::default(),
+            vec![],
+            true,
+            FailureMode::Ignore,
+        ),
+        (
+            "kill",
+            DriftModel::default(),
+            vec![],
+            false,
+            FailureMode::Kill,
+        ),
+        ("all", drift, vec![slowdown], true, FailureMode::Kill),
+    ];
 
     for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::EarliestDeadline] {
-        let reference = ServingScenario::new(serving_requests.clone())
-            .with_policy(policy)
-            .with_max_batch(4)
-            .with_max_inflight(Some(2))
-            .with_timeline(timeline.clone())
-            .run_streaming(&strategy, &cluster, LEADER)
-            .expect("serving run succeeds");
-
-        for routing in [
-            RoutingPolicy::Random { seed: 7 },
-            RoutingPolicy::StaticHash,
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::Locality,
-        ] {
-            let fleet_summary = FleetScenario::new(fleet_requests.clone())
-                .with_routing(routing)
+        for (name, drift, slowdowns, adaptive, failures) in &variants {
+            let mut serving = ServingScenario::new(serving_requests.clone())
                 .with_policy(policy)
                 .with_max_batch(4)
                 .with_max_inflight(Some(2))
-                .with_timelines(vec![timeline.clone()])
-                .run_streaming(&strategy, &fleet, LEADER)
-                .expect("fleet run succeeds");
-
-            let tag = format!("{}/{}", policy.name(), routing.name());
-            // Every exactly-tracked aggregate is bit-identical.
-            assert_eq!(fleet_summary.requests, reference.requests, "{tag}");
-            assert_eq!(fleet_summary.batches, reference.batches, "{tag}");
-            assert_eq!(
-                fleet_summary.epochs_applied, reference.epochs_applied,
-                "{tag}"
-            );
-            assert_eq!(fleet_summary.makespan, reference.makespan, "{tag}");
-            assert_eq!(
-                fleet_summary.latency.count, reference.latency.count,
-                "{tag}"
-            );
-            assert_eq!(fleet_summary.latency.mean, reference.latency.mean, "{tag}");
-            assert_eq!(
-                fleet_summary.mean_queueing_delay, reference.mean_queueing_delay,
-                "{tag}"
-            );
-            assert_eq!(
-                fleet_summary.max_queueing_delay, reference.max_queueing_delay,
-                "{tag}"
-            );
-            assert_eq!(
-                fleet_summary.deadline_misses, reference.deadline_misses,
-                "{tag}"
-            );
-            assert_eq!(fleet_summary.plan_cache, reference.plan_cache, "{tag}");
-            for class in SlaClass::ALL {
-                match (fleet_summary.class(class), reference.class(class)) {
-                    (Some(f), Some(r)) => {
-                        assert_eq!(f.latency.count, r.latency.count, "{tag}/{class:?}");
-                        assert_eq!(f.latency.mean, r.latency.mean, "{tag}/{class:?}");
-                        assert_eq!(
-                            f.mean_queueing_delay, r.mean_queueing_delay,
-                            "{tag}/{class:?}"
-                        );
-                        assert_eq!(f.deadline_misses, r.deadline_misses, "{tag}/{class:?}");
-                    }
-                    (None, None) => {}
-                    (f, r) => panic!("{tag}/{class:?}: class presence differs: {f:?} vs {r:?}"),
-                }
+                .with_timeline(timeline.clone())
+                .with_drift(drift.clone())
+                .with_slowdowns(slowdowns.clone())
+                .with_failure_mode(*failures);
+            if *adaptive {
+                serving = serving.with_adaptive(AdaptiveConfig::default());
             }
-            // One cluster ⇒ no WAN cost and trivial routing balance.
-            assert_eq!(fleet_summary.clusters, 1, "{tag}");
-            assert_eq!(fleet_summary.mean_wan_round_trip, 0.0, "{tag}");
-            assert_eq!(
-                fleet_summary.busiest_cluster_requests, reference.requests,
-                "{tag}"
-            );
+            let reference = serving
+                .run_streaming(&strategy, &cluster, LEADER)
+                .expect("serving run succeeds");
+            if *failures == FailureMode::Kill {
+                assert!(
+                    reference.robustness.lost > 0,
+                    "{name}: the timeline kills work"
+                );
+            }
+
+            for routing in [
+                RoutingPolicy::Random { seed: 7 },
+                RoutingPolicy::StaticHash,
+                RoutingPolicy::LeastLoaded,
+                RoutingPolicy::Locality,
+            ] {
+                let mut scenario = FleetScenario::new(fleet_requests.clone())
+                    .with_routing(routing)
+                    .with_policy(policy)
+                    .with_max_batch(4)
+                    .with_max_inflight(Some(2))
+                    .with_timelines(vec![timeline.clone()])
+                    .with_drifts(vec![drift.clone()])
+                    .with_slowdowns(vec![slowdowns.clone()])
+                    .with_failure_mode(*failures);
+                if *adaptive {
+                    scenario = scenario.with_adaptive(AdaptiveConfig::default());
+                }
+                let fleet_summary = scenario
+                    .run_streaming(&strategy, &fleet, LEADER)
+                    .expect("fleet run succeeds");
+
+                let tag = format!("{name}/{}/{}", policy.name(), routing.name());
+                // Every exactly-tracked aggregate is bit-identical.
+                assert_eq!(fleet_summary.requests, reference.requests, "{tag}");
+                assert_eq!(fleet_summary.batches, reference.batches, "{tag}");
+                assert_eq!(
+                    fleet_summary.epochs_applied, reference.epochs_applied,
+                    "{tag}"
+                );
+                assert_eq!(fleet_summary.makespan, reference.makespan, "{tag}");
+                assert_eq!(
+                    fleet_summary.latency.count, reference.latency.count,
+                    "{tag}"
+                );
+                assert_eq!(fleet_summary.latency.mean, reference.latency.mean, "{tag}");
+                assert_eq!(
+                    fleet_summary.mean_queueing_delay, reference.mean_queueing_delay,
+                    "{tag}"
+                );
+                assert_eq!(
+                    fleet_summary.max_queueing_delay, reference.max_queueing_delay,
+                    "{tag}"
+                );
+                assert_eq!(
+                    fleet_summary.deadline_misses, reference.deadline_misses,
+                    "{tag}"
+                );
+                assert_eq!(fleet_summary.plan_cache, reference.plan_cache, "{tag}");
+                assert_eq!(fleet_summary.robustness, reference.robustness, "{tag}");
+                assert_eq!(fleet_summary.drift, reference.drift, "{tag}");
+                for class in SlaClass::ALL {
+                    match (fleet_summary.class(class), reference.class(class)) {
+                        (Some(f), Some(r)) => {
+                            assert_eq!(f.latency.count, r.latency.count, "{tag}/{class:?}");
+                            assert_eq!(f.latency.mean, r.latency.mean, "{tag}/{class:?}");
+                            assert_eq!(
+                                f.mean_queueing_delay, r.mean_queueing_delay,
+                                "{tag}/{class:?}"
+                            );
+                            assert_eq!(f.deadline_misses, r.deadline_misses, "{tag}/{class:?}");
+                        }
+                        (None, None) => {}
+                        (f, r) => panic!("{tag}/{class:?}: class presence differs: {f:?} vs {r:?}"),
+                    }
+                }
+                // One cluster ⇒ no WAN cost and trivial routing balance.
+                assert_eq!(fleet_summary.clusters, 1, "{tag}");
+                assert_eq!(fleet_summary.mean_wan_round_trip, 0.0, "{tag}");
+                assert_eq!(
+                    fleet_summary.busiest_cluster_requests, reference.requests,
+                    "{tag}"
+                );
+            }
         }
     }
 }
