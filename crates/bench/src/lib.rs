@@ -729,16 +729,12 @@ pub fn stream_scaling_table(points: &[StreamScalingPoint]) -> ExperimentTable {
 /// to [`stream_scaling_points`], recorded so a `null` `list_sim_ms` is
 /// attributable to the budget rather than silent skipping.
 pub fn stream_scaling_json(points: &[StreamScalingPoint], reference_budget_ms: f64) -> String {
-    fn opt(v: Option<f64>) -> String {
-        match v {
-            Some(v) if v.is_finite() => format!("{v}"),
-            _ => "null".to_string(),
-        }
-    }
+    let opt = |v: Option<f64>| v.map_or("null".to_string(), json_number);
     let mut out = String::from("{\n  \"benchmark\": \"stream_scaling\",\n");
     out.push_str("  \"workload\": \"Mix-5 cycle (efficientnet_b0, inception_v3, resnet152), 0.05 s inter-arrival, HiDP plans via PlanCache\",\n");
     out.push_str(&format!(
-        "  \"reference_budget_ms\": {reference_budget_ms},\n"
+        "  \"reference_budget_ms\": {},\n",
+        json_number(reference_budget_ms)
     ));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -746,11 +742,11 @@ pub fn stream_scaling_json(points: &[StreamScalingPoint], reference_budget_ms: f
             "    {{\"requests\": {}, \"tasks\": {}, \"event_sim_ms\": {}, \"list_sim_ms\": {}, \"speedup\": {}, \"cached_plan_us_per_request\": {}, \"plan_and_simulate_us_per_request\": {}}}{}\n",
             p.requests,
             p.tasks,
-            opt(Some(p.event_sim_ms)),
+            json_number(p.event_sim_ms),
             opt(p.list_sim_ms),
             opt(p.speedup),
-            opt(Some(p.cached_plan_us_per_request)),
-            opt(Some(p.plan_and_simulate_us_per_request)),
+            json_number(p.cached_plan_us_per_request),
+            json_number(p.plan_and_simulate_us_per_request),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -913,9 +909,9 @@ pub fn warm_path_json(points: &[WarmPathPoint]) -> String {
             "    {{\"requests\": {}, \"tasks\": {}, \"cached_plan_us_per_request\": {}, \"plan_and_simulate_us_per_request\": {}, \"requests_per_second\": {}, \"steady_state_allocs\": {}}}{}\n",
             p.requests,
             p.tasks,
-            p.cached_plan_us_per_request,
-            p.plan_and_simulate_us_per_request,
-            p.requests_per_second,
+            json_number(p.cached_plan_us_per_request),
+            json_number(p.plan_and_simulate_us_per_request),
+            json_number(p.requests_per_second),
             p.steady_state_allocs
                 .map(|a| a.to_string())
                 .unwrap_or_else(|| "null".to_string()),
@@ -936,7 +932,8 @@ pub fn warm_path_json(points: &[WarmPathPoint]) -> String {
 /// premium/standard/best-effort — through the **serving runtime** in its
 /// degenerate mode (FIFO, batch = 1, unbounded window, static cluster),
 /// which is bit-identical to the old static pipeline. Latency percentiles
-/// come from the sim layer's [`ServingMetrics`] reporter: overall
+/// come from the sim layer's
+/// [`ServingMetrics`](hidp_sim::serving::ServingMetrics) reporter: overall
 /// p50/p95/p99 plus a per-SLA-class breakdown, all in milliseconds. The
 /// strategy × rate grid fans out on [`ParallelSweep`] against one shared
 /// sharded [`PlanCache`].
@@ -1377,13 +1374,13 @@ pub fn serving_json(
             p.requests,
             p.batches,
             p.epochs,
-            p.makespan_s,
-            p.requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.sla_miss_rate,
-            p.premium_p99_ms,
+            json_number(p.makespan_s),
+            json_number(p.requests_per_second),
+            json_number(p.p50_ms),
+            json_number(p.p99_ms),
+            json_number(p.mean_queueing_ms),
+            json_number(p.sla_miss_rate),
+            json_number(p.premium_p99_ms),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -1412,9 +1409,9 @@ fn push_batching_points(out: &mut String, batching: &[ServingBatchingPoint]) {
             p.max_batch,
             p.requests,
             p.batches,
-            p.requests_per_second,
-            p.p99_ms,
-            p.speedup_vs_unbatched,
+            json_number(p.requests_per_second),
+            json_number(p.p99_ms),
+            json_number(p.speedup_vs_unbatched),
             if i + 1 < batching.len() { "," } else { "" }
         ));
     }
@@ -1584,14 +1581,14 @@ pub fn soak_json(points: &[SoakPoint]) -> String {
             p.config,
             p.requests,
             p.batches,
-            p.wall_seconds,
-            p.requests_per_wall_second,
-            p.sim_makespan_s,
-            p.sim_requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.sla_miss_rate,
+            json_number(p.wall_seconds),
+            json_number(p.requests_per_wall_second),
+            json_number(p.sim_makespan_s),
+            json_number(p.sim_requests_per_second),
+            json_number(p.p50_ms),
+            json_number(p.p99_ms),
+            json_number(p.mean_queueing_ms),
+            json_number(p.sla_miss_rate),
             p.steady_state_allocs
                 .map_or("null".to_string(), |a| a.to_string()),
             if i + 1 < points.len() { "," } else { "" }
@@ -1844,14 +1841,14 @@ pub fn fleet_json(points: &[FleetPoint], soak: Option<&FleetPoint>) -> String {
             p.routing,
             p.requests,
             p.clusters,
-            p.wall_seconds,
-            p.requests_per_wall_second,
-            p.sim_requests_per_second,
-            p.p50_ms,
-            p.p99_ms,
-            p.mean_queueing_ms,
-            p.mean_wan_ms,
-            p.sla_miss_rate,
+            json_number(p.wall_seconds),
+            json_number(p.requests_per_wall_second),
+            json_number(p.sim_requests_per_second),
+            json_number(p.p50_ms),
+            json_number(p.p99_ms),
+            json_number(p.mean_queueing_ms),
+            json_number(p.mean_wan_ms),
+            json_number(p.sla_miss_rate),
             p.busiest_cluster_requests,
             p.idlest_cluster_requests,
             p.steady_state_allocs
@@ -2118,10 +2115,10 @@ fn latency_summary_json(summary: Option<&LatencySummary>) -> String {
         Some(l) => format!(
             "{{\"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"mean_ms\": {}}}",
             l.count,
-            l.p50 * 1e3,
-            l.p95 * 1e3,
-            l.p99 * 1e3,
-            l.mean * 1e3
+            json_number(l.p50 * 1e3),
+            json_number(l.p95 * 1e3),
+            json_number(l.p99 * 1e3),
+            json_number(l.mean * 1e3)
         ),
     }
 }
@@ -2143,14 +2140,14 @@ pub fn chaos_json(points: &[ChaosPoint], seed: u64) -> String {
             p.config,
             p.requests,
             p.robustness.to_json(),
-            p.sla_goodput,
-            p.p99_ms,
-            p.sla_miss_rate,
-            p.makespan_s,
+            json_number(p.sla_goodput),
+            json_number(p.p99_ms),
+            json_number(p.sla_miss_rate),
+            json_number(p.makespan_s),
             p.time_to_first_retry_s
-                .map_or("null".to_string(), |t| t.to_string()),
+                .map_or("null".to_string(), json_number),
             latency_summary_json(p.recovery_latency.as_ref()),
-            p.wall_seconds,
+            json_number(p.wall_seconds),
             p.steady_state_allocs
                 .map_or("null".to_string(), |a| a.to_string()),
             if i + 1 < points.len() { "," } else { "" }
@@ -2509,17 +2506,17 @@ pub fn drift_json(points: &[DriftPoint], bandit: &DriftBanditReport, seed: u64) 
             p.config,
             p.requests,
             p.batches,
-            p.p50_ms,
-            p.p99_ms,
-            p.sla_miss_rate,
-            p.makespan_s,
-            p.dynamic_energy_j,
-            p.total_energy_j,
+            json_number(p.p50_ms),
+            json_number(p.p99_ms),
+            json_number(p.sla_miss_rate),
+            json_number(p.makespan_s),
+            json_number(p.dynamic_energy_j),
+            json_number(p.total_energy_j),
             p.replans,
             p.observations,
-            p.dynamic_energy_j,
+            json_number(p.dynamic_energy_j),
             p.robustness.to_json(),
-            p.wall_seconds,
+            json_number(p.wall_seconds),
             p.steady_state_allocs
                 .map_or("null".to_string(), |a| a.to_string()),
             if i + 1 < points.len() { "," } else { "" }
@@ -2535,7 +2532,7 @@ pub fn drift_json(points: &[DriftPoint], bandit: &DriftBanditReport, seed: u64) 
             "      {{\"arm\": \"{}\", \"pulls\": {}, \"p99_ms\": {}}}{}\n",
             arm,
             bandit.pulls[i],
-            bandit.p99_ms[i],
+            json_number(bandit.p99_ms[i]),
             if i + 1 < bandit.arms.len() { "," } else { "" }
         ));
     }
@@ -2740,9 +2737,9 @@ pub fn parallel_eval_json(report: &ParallelEvalReport) -> String {
         out.push_str(&format!(
             "    {{\"threads\": {}, \"wall_ms\": {}, \"requests_per_second\": {}, \"speedup_vs_one_thread\": {}, \"identical_to_one_thread\": {}}}{}\n",
             p.threads,
-            p.wall_ms,
-            p.requests_per_second,
-            p.speedup_vs_one_thread,
+            json_number(p.wall_ms),
+            json_number(p.requests_per_second),
+            json_number(p.speedup_vs_one_thread),
             p.identical_to_one_thread,
             if i + 1 < report.points.len() { "," } else { "" }
         ));
@@ -2971,6 +2968,17 @@ pub fn table2_platform() -> ExperimentTable {
     table
 }
 
+/// Renders a number for the hand-rolled JSON emitters. JSON has no
+/// NaN/Inf, so a non-finite value becomes `null`, the conventional
+/// stand-in.
+fn json_number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Serialises a set of tables as a JSON document (used to regenerate
 /// EXPERIMENTS.md). Hand-rolled: the table shape is fixed and the build
 /// environment has no serde_json, so the emitter lives here.
@@ -2991,14 +2999,6 @@ pub fn tables_to_json(tables: &[ExperimentTable]) -> String {
         }
         out.push('"');
         out
-    }
-    fn json_number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            // JSON has no NaN/Inf; null is the conventional stand-in.
-            "null".to_string()
-        }
     }
     let mut out = String::from("[\n");
     for (t_idx, table) in tables.iter().enumerate() {
@@ -3046,6 +3046,25 @@ mod tests {
         assert!(md.contains("| r1 | 1.00 | 250 |"));
         let json = tables_to_json(&[t]);
         assert!(json.contains("demo"));
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_json_null() {
+        // An arm the bandit never pulled has no measured p99 (NaN), which
+        // JSON cannot spell.
+        let bandit = DriftBanditReport {
+            arms: vec!["default".to_string(), "fast".to_string()],
+            pulls: vec![1, 0],
+            p99_ms: vec![12.5, f64::NAN],
+            best: "default".to_string(),
+            episodes: 1,
+        };
+        let json = drift_json(&[], &bandit, 0);
+        assert!(json.contains("\"p99_ms\": 12.5"), "{json}");
+        assert!(json.contains("\"p99_ms\": null"), "{json}");
+        assert!(!json.contains("NaN"), "{json}");
+        assert_eq!(json_number(f64::INFINITY), "null");
+        assert_eq!(json_number(-0.25), "-0.25");
     }
 
     #[test]

@@ -64,10 +64,10 @@ pub const SHARD_COUNT: usize = 16;
 pub struct PlanKey {
     /// Strategy display name.
     pub strategy: String,
-    /// [`DistributedStrategy::cache_config`]: distinguishes
-    /// differently-configured instances sharing a display name (ablation
-    /// variants, MCTS iteration counts) so they never serve each other's
-    /// plans.
+    /// The strategy's [`DistributedStrategy::cache_config`], which
+    /// distinguishes differently-configured instances sharing a display
+    /// name (ablation variants, MCTS iteration counts) so they never serve
+    /// each other's plans.
     pub strategy_config: String,
     /// [`DnnGraph::fingerprint`] of the request's graph.
     pub graph_fingerprint: u64,

@@ -14,9 +14,14 @@
 //! [`crate::PlanKey`], so a timeline flip automatically re-plans through the
 //! shared [`PlanCache`] instead of serving a stale plan.
 //!
-//! # Indexed admission
+//! # One loop, indexed admission
 //!
-//! The admission queue is a priority-indexed structure
+//! Both modes — records ([`ServingScenario::run`]) and streaming
+//! ([`ServingScenario::run_streaming`]) — run one serving loop and differ
+//! only in two hooks: the records mode logs each batch as it is admitted,
+//! the streaming mode observes each batch as it settles.
+//!
+//! The loop's admission queue is a priority-indexed structure
 //! ([`IndexedQueue`](self)): one global FIFO list, one FIFO list per SLA
 //! class, one intrusive list per `(model, batch)` coalesce bucket, and a
 //! lazily-pruned deadline heap — all over flat per-request index arrays, no
@@ -24,9 +29,10 @@
 //! priority and amortised O(log n) under earliest-deadline; coalescing a
 //! batch walks only the head's bucket, O(batch). The original O(n)-per-pick
 //! `Vec` scan survives verbatim as [`ServingScenario::run_reference`] and a
-//! property test (`tests/serving_admission_equivalence.rs`) pins the two
-//! **bit-identical** — same admission order, same batch membership, same
-//! epochs — across every policy, batching level and timeline.
+//! property test (`tests/serving_admission_equivalence.rs`) pins the
+//! records mode **bit-identical** to it — same admission order, same batch
+//! membership, same epochs — across every policy, batching level, timeline
+//! and failure mode.
 //!
 //! # Measured-completion feedback
 //!
@@ -45,11 +51,12 @@
 //!
 //! # The streaming (soak) mode
 //!
-//! [`ServingScenario::run_streaming`] runs the same indexed admission
-//! structures in one loop that serves every config — fault-free or not —
-//! and retains **no per-request state**: latency and queueing tails go into
-//! constant-memory P² sketches ([`StreamingTail`]), per-class aggregates
-//! into fixed arrays, and the result is an all-`Copy` [`ServingSummary`].
+//! [`ServingScenario::run_streaming`] runs the same loop as the records
+//! mode, for every config — fault-free or not — and retains **no
+//! per-request state**: as each batch settles, its latency and queueing
+//! delays go into constant-memory P² sketches ([`StreamingTail`]),
+//! per-class aggregates into fixed arrays, and the result is an all-`Copy`
+//! [`ServingSummary`].
 //! After the first pass has sized the scratch buffers, a steady-state
 //! streaming pass performs zero heap allocations
 //! (`tests/zero_alloc_warm_path.rs`), which is what lets the 1M-request
@@ -618,7 +625,7 @@ impl ServingScenario {
         let requests = &self.requests;
         let mut stream: Vec<(f64, f64, Arc<ExecutionPlan>)> = Vec::new();
         let mut batches: Vec<AdmittedBatch> = Vec::new();
-        let (stats, epochs_applied) = self.indexed_admission(
+        let outcome = self.serve(
             strategy,
             cluster,
             leader,
@@ -632,14 +639,20 @@ impl ServingScenario {
                     members: members.iter().map(|&m| m as usize).collect(),
                 });
             },
+            |_, _, _| {},
         )?;
+        // Admission ends in the last batch's epoch. Under kill semantics the
+        // loop may walk on to later down-flips that kill pending work; only
+        // streaming recovery acts on those, and the engine replays the
+        // timeline itself.
+        let epochs_applied = batches.last().map_or(outcome.epochs, |b| b.epoch);
         self.finish(
             strategy,
             cluster,
             AdmissionOutcome {
                 stream,
                 batches,
-                stats,
+                stats: outcome.plan_cache,
                 epochs_applied,
             },
             &mut scratch.sim,
@@ -679,13 +692,14 @@ impl ServingScenario {
     /// O(requests) for the input plus O(batches in flight) for the loop,
     /// which is what the 1M-request soak runs on.
     ///
-    /// This one loop serves every config. Admitted batches wait in a
-    /// pending FIFO (admission order) until the virtual clock passes their
-    /// effective completion, and are then *finalised* — observed into the
-    /// latency tails — front-first, so the order-sensitive P² sketches see
-    /// the admission order. Under [`FailureMode::Kill`] a down-flip landing
-    /// on a node a pending batch's plan touches *kills* the batch, and its
-    /// members flow through the [`RecoveryPolicy`]. A config with no
+    /// Both modes and every config run one loop; this mode hooks in where
+    /// a batch settles. Admitted batches wait in a pending FIFO (admission
+    /// order) until the virtual clock passes their effective completion,
+    /// and are then *finalised* — observed into the latency tails —
+    /// front-first, so the order-sensitive P² sketches see the admission
+    /// order. Under [`FailureMode::Kill`] a down-flip landing on a node a
+    /// pending batch's plan touches *kills* the batch, and its members
+    /// flow through the [`RecoveryPolicy`]. A config with no
     /// faults, drift, stragglers or recovery simply never takes those
     /// branches: arming recovery or estimation with nothing to act on is
     /// bit-identical to the plain config (pinned by
@@ -732,6 +746,89 @@ impl ServingScenario {
         scratch: &mut ServingScratch,
     ) -> Result<ServingSummary, CoreError> {
         self.validate(cluster)?;
+        let requests = &self.requests;
+        let mut latency_tail = StreamingTail::new();
+        let mut queueing_tail = StreamingTail::new();
+        let mut class_tail = [StreamingTail::new(); 3];
+        let mut class_queueing_sum = [0.0f64; 3];
+        let mut class_misses = [0usize; 3];
+        let mut deadline_misses = 0usize;
+        let outcome = self.serve(
+            strategy,
+            cluster,
+            leader,
+            cache,
+            scratch,
+            |_, _, _, _| {},
+            |admitted, completion, members| {
+                for &m in members {
+                    let request = &requests[m as usize];
+                    let latency = completion - request.arrival;
+                    let delay = admitted - request.arrival;
+                    latency_tail.observe(latency);
+                    queueing_tail.observe(delay);
+                    let class = request.sla.priority() as usize;
+                    class_tail[class].observe(latency);
+                    class_queueing_sum[class] += delay;
+                    if latency > request.sla.deadline_seconds() {
+                        deadline_misses += 1;
+                        class_misses[class] += 1;
+                    }
+                }
+            },
+        )?;
+
+        let latency = latency_tail
+            .summary()
+            .ok_or_else(|| CoreError::Infeasible {
+                what: format!(
+                    "serving scenario '{}': no request completed under the fault timeline",
+                    self.label
+                ),
+            })?;
+        let mut per_class = [None; 3];
+        for (c, &class) in SlaClass::ALL.iter().enumerate() {
+            if let Some(latency) = class_tail[c].summary() {
+                per_class[c] = Some(SlaClassReport {
+                    class,
+                    latency,
+                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
+                    deadline_misses: class_misses[c],
+                });
+            }
+        }
+        Ok(ServingSummary {
+            requests: requests.len(),
+            batches: outcome.batches,
+            epochs_applied: outcome.epochs,
+            makespan: outcome.makespan,
+            latency,
+            mean_queueing_delay: queueing_tail.mean(),
+            max_queueing_delay: queueing_tail.max(),
+            deadline_misses,
+            per_class,
+            plan_cache: outcome.plan_cache,
+            robustness: outcome.robustness,
+            drift: outcome.drift,
+        })
+    }
+
+    /// The serving loop both modes run; its rules are documented on
+    /// [`ServingScenario::run_streaming`]. Each admitted batch goes to
+    /// `on_admit` as `(now, epoch, members, plan)`. Each batch that settles
+    /// goes to `on_settle` as `(admitted, completion, members)`, in
+    /// admission order; a killed batch never settles.
+    #[allow(clippy::too_many_arguments)]
+    fn serve(
+        &self,
+        strategy: &dyn DistributedStrategy,
+        cluster: &Cluster,
+        leader: NodeIndex,
+        cache: &PlanCache,
+        scratch: &mut ServingScratch,
+        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
+        mut on_settle: impl FnMut(f64, f64, &[u32]),
+    ) -> Result<LoopOutcome, CoreError> {
         let requests = &self.requests;
         let n = requests.len();
         let max_inflight = self.config.max_inflight.map(|w| w.max(1));
@@ -793,22 +890,8 @@ impl ServingScenario {
         }
 
         let events = self.config.timeline.events();
-        let mut current: Option<&mut Cluster> = if events.is_empty() {
-            None
-        } else {
-            Some(match epoch_cluster {
-                Some(c) => {
-                    // Availability-only rewind keeps warm passes
-                    // zero-alloc; a different base cluster falls back to a
-                    // full clone.
-                    if c.restore_availability_from(cluster).is_err() {
-                        c.clone_from(cluster);
-                    }
-                    c
-                }
-                None => epoch_cluster.insert(cluster.clone()),
-            })
-        };
+        let mut current: Option<&mut Cluster> =
+            (!events.is_empty()).then(|| rewind_copy(epoch_cluster, cluster));
         let mut next_event = 0usize;
         let mut epoch = 0usize;
 
@@ -818,12 +901,6 @@ impl ServingScenario {
         let mut now = 0.0f64;
         let mut stats = PlanCacheStats::default();
 
-        let mut latency_tail = StreamingTail::new();
-        let mut queueing_tail = StreamingTail::new();
-        let mut class_tail = [StreamingTail::new(); 3];
-        let mut class_queueing_sum = [0.0f64; 3];
-        let mut class_misses = [0usize; 3];
-        let mut deadline_misses = 0usize;
         let mut makespan = 0.0f64;
         let mut batch_count = 0usize;
         let mut robustness = RobustnessStats {
@@ -831,8 +908,7 @@ impl ServingScenario {
             ..RobustnessStats::default()
         };
 
-        // Observes every batch settled by `$now` into the tails, in
-        // admission order.
+        // Settles every batch done by `$now`, in admission order.
         macro_rules! finalise_settled {
             ($now:expr) => {
                 while let Some((b, settled)) = pending.pop_settled($now) {
@@ -841,20 +917,7 @@ impl ServingScenario {
                         makespan = completion;
                     }
                     robustness.completed += settled.len() as u64;
-                    for &m in settled {
-                        let request = &requests[m as usize];
-                        let latency = completion - request.arrival;
-                        let delay = b.admitted - request.arrival;
-                        latency_tail.observe(latency);
-                        queueing_tail.observe(delay);
-                        let class = request.sla.priority() as usize;
-                        class_tail[class].observe(latency);
-                        class_queueing_sum[class] += delay;
-                        if latency > request.sla.deadline_seconds() {
-                            deadline_misses += 1;
-                            class_misses[class] += 1;
-                        }
-                    }
+                    on_settle(b.admitted, completion, settled);
                 }
             };
         }
@@ -941,15 +1004,7 @@ impl ServingScenario {
                     if exposed != 0 {
                         let avoid = NodeIndex(exposed.trailing_zeros() as usize);
                         let base: &Cluster = current.as_deref().unwrap_or(cluster);
-                        let hc = match hedge_cluster {
-                            Some(c) => {
-                                if c.restore_availability_from(base).is_err() {
-                                    c.clone_from(base);
-                                }
-                                c
-                            }
-                            None => hedge_cluster.insert(base.clone()),
-                        };
+                        let hc = rewind_copy(hedge_cluster, base);
                         if hc.set_available(avoid, false).is_ok() {
                             let saved = key.cluster_fingerprint;
                             key.cluster_fingerprint = hc.fingerprint();
@@ -994,6 +1049,7 @@ impl ServingScenario {
                     }));
                     departure_seq += 1;
                 }
+                on_admit(now, epoch, members, &plan);
                 pending.push(batch, members);
                 batch_count += 1;
             }
@@ -1119,35 +1175,10 @@ impl ServingScenario {
             robustness.accounts_for_every_request(),
             "request conservation violated: {robustness:?}"
         );
-        let latency = latency_tail
-            .summary()
-            .ok_or_else(|| CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}': no request completed under the fault timeline",
-                    self.label
-                ),
-            })?;
-        let mut per_class = [None; 3];
-        for (c, &class) in SlaClass::ALL.iter().enumerate() {
-            if let Some(latency) = class_tail[c].summary() {
-                per_class[c] = Some(SlaClassReport {
-                    class,
-                    latency,
-                    mean_queueing_delay: class_queueing_sum[c] / latency.count as f64,
-                    deadline_misses: class_misses[c],
-                });
-            }
-        }
-        Ok(ServingSummary {
-            requests: n,
+        Ok(LoopOutcome {
             batches: batch_count,
-            epochs_applied: epoch,
+            epochs: epoch,
             makespan,
-            latency,
-            mean_queueing_delay: queueing_tail.mean(),
-            max_queueing_delay: queueing_tail.max(),
-            deadline_misses,
-            per_class,
             plan_cache: stats,
             robustness,
             drift: DriftStats {
@@ -1239,177 +1270,13 @@ impl ServingScenario {
         Ok(())
     }
 
-    /// The records mode's indexed virtual-clock loop: walks arrivals,
-    /// timeline events and estimated completions; admits batches per policy
-    /// through the [`IndexedQueue`]; plans each batch against the current
-    /// epoch's cluster through `cache`; and hands every admitted batch to
-    /// `on_admit` as `(now, epoch, members, plan)`. Completions are
-    /// estimated, via the persistent [`DispatchEstimator`], only to gate a
-    /// bounded window — the event engine measures the reported ones.
-    fn indexed_admission(
-        &self,
-        strategy: &dyn DistributedStrategy,
-        cluster: &Cluster,
-        leader: NodeIndex,
-        cache: &PlanCache,
-        scratch: &mut ServingScratch,
-        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
-    ) -> Result<(PlanCacheStats, usize), CoreError> {
-        let requests = &self.requests;
-        let n = requests.len();
-        // A window of zero could never admit anything (the loop below would
-        // wait on an in-flight completion that cannot exist); serving
-        // requires at least one slot, so Some(0) is clamped like max_batch.
-        let max_inflight = self.config.max_inflight.map(|w| w.max(1));
-        let ServingScratch {
-            key,
-            order,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            ..
-        } = scratch;
-
-        // Refresh the hoisted plan key in place: the strategy string reuses
-        // its buffer, so for default-config strategies a steady-state pass
-        // rebuilds the key without allocating.
-        key.strategy.clear();
-        key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut key.strategy_config);
-        key.graph_fingerprint = 0;
-        key.batch = 0;
-        key.leader = leader;
-        key.cluster_fingerprint = cluster.fingerprint();
-
-        // Arrival processing order: by time, ties by input order. Arrivals
-        // are normalised (+0.0) so a -0.0 arrival cannot jump a +0.0 one;
-        // with the index as tie-break the unstable sort reproduces the
-        // reference loop's stable sort exactly, without its merge buffer.
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            (requests[a as usize].arrival + 0.0)
-                .total_cmp(&(requests[b as usize].arrival + 0.0))
-                .then(a.cmp(&b))
-        });
-
-        queue.reset(n);
-        dispatch.reset();
-        inflight.clear();
-
-        // The epoch cluster is only materialised when the timeline actually
-        // has events; `clone_from` reuses the previous run's buffers.
-        let events = self.config.timeline.events();
-        let mut current: Option<&mut Cluster> = if events.is_empty() {
-            None
-        } else {
-            Some(match epoch_cluster {
-                Some(c) => {
-                    c.clone_from(cluster);
-                    c
-                }
-                None => epoch_cluster.insert(cluster.clone()),
-            })
-        };
-        let mut next_event = 0usize;
-        let mut epoch = 0usize;
-
-        let mut departure_seq = 0u64;
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-        let mut stats = PlanCacheStats::default();
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(self.config.policy);
-                queue.coalesce(head, self.config.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = &requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                let plan_cluster: &Cluster = current.as_deref().unwrap_or(cluster);
-                let (plan, hit) = cache.plan_keyed(key, strategy, graph, plan_cluster, leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-
-                // Measured-completion feedback: replay the plan against the
-                // resource free times every earlier admission left behind.
-                // Estimates run on the base cluster — the same one the
-                // records mode's final simulation measures on.
-                if max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: dispatch.estimate(plan.as_ref(), cluster, now)?,
-                        seq: departure_seq,
-                    }));
-                    departure_seq += 1;
-                }
-                on_admit(now, epoch, members, &plan);
-            }
-
-            if next_arrival >= n && queue.len() == 0 {
-                break;
-            }
-
-            // Blocked: wait for the next arrival or (when the window is
-            // full) the next estimated completion, whichever comes first.
-            let mut t = f64::INFINITY;
-            if next_arrival < n {
-                t = requests[order[next_arrival] as usize].arrival + 0.0;
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            // Replay timeline events due by then: each flip starts a new
-            // epoch whose cluster fingerprint re-keys all later planning.
-            while next_event < events.len() && events[next_event].time <= t {
-                let event = &events[next_event];
-                let c = current.as_mut().expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                epoch += 1;
-                next_event += 1;
-            }
-            if t > now {
-                now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            while next_arrival < n && requests[order[next_arrival] as usize].arrival + 0.0 <= now {
-                queue.push(order[next_arrival], requests, self.config.policy);
-                next_arrival += 1;
-            }
-        }
-
-        Ok((stats, epoch))
-    }
-
     /// The original `Vec`-scan admission loop, kept verbatim as the frozen
     /// baseline for [`ServingScenario::run`]'s indexed queue: every pick
     /// scans the whole queue (O(n)) and every coalesce removes members by
-    /// position. It shares the [`DispatchEstimator`] with the indexed loop,
-    /// so the two differ only in the queue data structure — which is
-    /// exactly what the equivalence property test pins.
+    /// position. It shares the [`DispatchEstimator`] with the serving loop
+    /// both modes run, so in the records mode the two differ only in the
+    /// queue data structure — which is exactly what the equivalence
+    /// property test pins.
     fn admission_loop_reference(
         &self,
         strategy: &dyn DistributedStrategy,
@@ -1750,6 +1617,18 @@ impl Ord for RetryEntry {
     }
 }
 
+/// What one pass of the serving loop determines in either mode.
+struct LoopOutcome {
+    batches: usize,
+    /// The final epoch number.
+    epochs: usize,
+    /// Estimated completion of the last settled batch.
+    makespan: f64,
+    plan_cache: PlanCacheStats,
+    robustness: RobustnessStats,
+    drift: DriftStats,
+}
+
 /// What the admission loop hands to the simulation half.
 struct AdmissionOutcome {
     stream: Vec<(f64, f64, Arc<ExecutionPlan>)>,
@@ -1854,9 +1733,9 @@ impl ServingSummary {
 }
 
 /// Reusable working memory for the serving loop: the embedded [`SimScratch`]
-/// (records-mode simulation), the hoisted [`PlanKey`], the [`IndexedQueue`]
-/// arrays, the coalesce buffer, the `(model, batch) → graph` table, the
-/// [`DispatchEstimator`] and the in-flight heap.
+/// (records-mode simulation), the hoisted [`PlanKey`], the admission
+/// queue's index arrays, the coalesce buffer, the `(model, batch) → graph`
+/// table, the dispatch estimator and the in-flight heap.
 ///
 /// Create one per worker thread and pass it to every serving run that
 /// thread performs: after the first run of a given workload shape, a
@@ -1927,6 +1806,21 @@ impl ServingScratch {
 impl Default for ServingScratch {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Rewinds a reusable cluster copy to `base` and returns it. An
+/// availability-only rewind keeps warm passes zero-alloc; a different base
+/// cluster falls back to a full clone.
+fn rewind_copy<'a>(slot: &'a mut Option<Cluster>, base: &Cluster) -> &'a mut Cluster {
+    match slot {
+        Some(c) => {
+            if c.restore_availability_from(base).is_err() {
+                c.clone_from(base);
+            }
+            c
+        }
+        None => slot.insert(base.clone()),
     }
 }
 
@@ -2699,6 +2593,8 @@ mod tests {
 
     #[test]
     fn indexed_admission_matches_the_reference_loop() {
+        // The records mode admits through the serving loop's indexed queue,
+        // the reference through its `Vec` scan; every output must agree.
         let cluster = presets::paper_cluster();
         let strategy = HidpStrategy::new();
         for policy in [
@@ -2717,11 +2613,11 @@ mod tests {
 
     #[test]
     fn streaming_mode_agrees_with_records_mode_on_admission_facts() {
-        // The two modes run the same admission rules, so everything the
-        // admission layer determines — counts, batching, epochs, cache
-        // traffic, queueing delays — must agree exactly. (Completions
-        // differ by design: records measures the event engine, streaming
-        // reports the dispatch model's estimates.)
+        // The two modes run one loop, so everything the admission layer
+        // determines — counts, batching, epochs, cache traffic, queueing
+        // delays — must agree exactly. (Completions differ by design:
+        // records measures the event engine, streaming reports the
+        // dispatch model's estimates.)
         let cluster = presets::paper_cluster();
         let strategy = HidpStrategy::new();
         let scenario = mixed_scenario(AdmissionPolicy::Priority);

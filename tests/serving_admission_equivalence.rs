@@ -1,12 +1,16 @@
-//! Property tests: the indexed admission queue must reproduce the original
-//! `Vec`-scan admission loop exactly — same admission order, same batch
-//! membership, same epochs, same simulated metrics, bit for bit — on random
-//! serving workloads across every policy, batching level, in-flight window
-//! and failure timeline. [`ServingScenario::run`] (indexed) and
+//! Property tests: the serving loop's indexed admission queue must
+//! reproduce the original `Vec`-scan admission loop exactly — same
+//! admission order, same batch membership, same epochs, same simulated
+//! metrics, bit for bit — on random serving workloads across every policy,
+//! batching level, in-flight window, failure timeline and failure mode.
+//! [`ServingScenario::run`] (the records mode of the one serving loop) and
 //! [`ServingScenario::run_reference`] (the frozen O(n) scan) differ *only*
-//! in the queue data structure, so full-result equality pins that structure.
+//! in the queue data structure, so full-result equality pins that
+//! structure.
 
-use hidp::core::{AdmissionPolicy, ServingConfig, ServingRequest, ServingScenario, SlaClass};
+use hidp::core::{
+    AdmissionPolicy, FailureMode, ServingConfig, ServingRequest, ServingScenario, SlaClass,
+};
 use hidp::platform::{presets, ClusterTimeline, NodeIndex};
 use hidp::{HidpStrategy, WorkloadModel};
 use proptest::prelude::*;
@@ -23,7 +27,8 @@ const MODELS: [WorkloadModel; 3] = [
 
 /// A random serving workload: clustered arrivals (duplicate instants force
 /// tie-breaks), mixed models/SLA classes, a random policy, batching limit,
-/// in-flight window and an optional down/up flip of a non-leader node.
+/// in-flight window, failure mode and an optional down/up flip of a
+/// non-leader node.
 fn random_scenario(rng: &mut StdRng) -> ServingScenario {
     let count = rng.gen_range(1..40usize);
     let requests: Vec<ServingRequest> = (0..count)
@@ -55,11 +60,16 @@ fn random_scenario(rng: &mut StdRng) -> ServingScenario {
             .node_up(down + rng.gen_range(0.05..0.4f64), node)
             .unwrap();
     }
+    let failures = match rng.gen_range(0..2u8) {
+        0 => FailureMode::Ignore,
+        _ => FailureMode::Kill,
+    };
     ServingScenario::new(requests).with_config(ServingConfig {
         policy,
         max_batch: rng.gen_range(1..5usize),
         max_inflight,
         timeline,
+        failures,
         ..ServingConfig::default()
     })
 }
@@ -74,12 +84,22 @@ proptest! {
         let strategy = HidpStrategy::new();
         let scenario = random_scenario(&mut rng);
 
-        let indexed = scenario
-            .run(&strategy, &cluster, LEADER)
-            .expect("indexed serving run succeeds");
-        let reference = scenario
-            .run_reference(&strategy, &cluster, LEADER)
-            .expect("reference serving run succeeds");
+        let (indexed, reference) = match (
+            scenario.run(&strategy, &cluster, LEADER),
+            scenario.run_reference(&strategy, &cluster, LEADER),
+        ) {
+            (Ok(indexed), Ok(reference)) => (indexed, reference),
+            // A kill that takes every request fails both runs alike.
+            (Err(indexed), Err(reference)) => {
+                prop_assert_eq!(indexed.to_string(), reference.to_string(), "seed {}", seed);
+                return;
+            }
+            (indexed, reference) => panic!(
+                "seed {seed}: run {:?} but reference {:?}",
+                indexed.map(|_| ()),
+                reference.map(|_| ())
+            ),
+        };
 
         // Bit-identical, field by field: the admission log (order, batch
         // membership, admission times, epochs), per-request records, SLA
@@ -90,4 +110,37 @@ proptest! {
         prop_assert_eq!(&indexed.serving, &reference.serving);
         prop_assert_eq!(&indexed.evaluation, &reference.evaluation);
     }
+}
+
+/// Under kill semantics the serving loop keeps walking down-flips that land
+/// on in-flight work after the last admission. The admission facts must not
+/// see that walk: the run still matches the reference loop, which stops at
+/// its last admission.
+#[test]
+fn kill_flip_after_the_last_admission_matches_the_reference() {
+    let cluster = presets::paper_cluster();
+    let strategy = HidpStrategy::new();
+    let requests: Vec<ServingRequest> = MODELS
+        .iter()
+        .map(|&model| ServingRequest::new(model, 0.0))
+        .collect();
+    let node = NodeIndex(2);
+    let timeline = ClusterTimeline::new()
+        .node_down(0.001, node)
+        .unwrap()
+        .node_up(1.0, node)
+        .unwrap();
+    let scenario = ServingScenario::new(requests).with_config(ServingConfig {
+        timeline,
+        failures: FailureMode::Kill,
+        ..ServingConfig::default()
+    });
+    let indexed = scenario.run(&strategy, &cluster, LEADER).unwrap();
+    let reference = scenario.run_reference(&strategy, &cluster, LEADER).unwrap();
+    assert!(
+        !indexed.failures.is_empty(),
+        "the flip kills in-flight work"
+    );
+    assert_eq!(indexed.epochs_applied, 0);
+    assert_eq!(indexed, reference);
 }
