@@ -4,8 +4,9 @@
 //! OmniBoost determines layer-block boundaries with an MCTS whose leaf
 //! evaluations come from a throughput estimator, and pipelines the resulting
 //! blocks over the devices' default processors. The original estimator is a
-//! learned model; as documented in DESIGN.md we substitute the analytical
-//! cost model (the quantity the learned estimator approximates). The search
+//! learned model; as the reproduction is analytical throughout (PAPER.md,
+//! *What this repository reproduces*), we substitute the analytical cost
+//! model (the quantity the learned estimator approximates). The search
 //! itself is a faithful UCT implementation: each tree level places the next
 //! block boundary, rollouts complete the placement randomly, and the reward
 //! is the negated pipeline latency.

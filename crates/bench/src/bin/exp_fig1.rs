@@ -1,5 +1,5 @@
 //! Regenerates the "fig1" experiment of the HiDP paper and prints it as a
-//! markdown table. See DESIGN.md §4 for the experiment index.
+//! markdown table. The README's Quickstart lists every experiment binary.
 
 fn main() {
     let table = hidp_bench::fig1_partitioning_configs();

@@ -185,6 +185,24 @@ mod tests {
     }
 
     #[test]
+    fn nan_comm_rates_are_infeasible_not_a_zero_latency_plan() {
+        // Both searches reject the NaN links, so the agent reports no plan
+        // instead of a data split at 0.0 s.
+        let res = vec![resource(0, 1e9, f64::NAN), resource(1, 1e9, f64::NAN)];
+        let workload = WorkloadSummary {
+            input_bytes: 600_000,
+            output_bytes: 4_000,
+            flops: 4_000_000_000,
+            sync_bytes: 100_000,
+        };
+        let result = DseAgent::new().explore(&segments(4, 1_000_000_000), &res, workload, 2);
+        assert!(
+            matches!(result, Err(CoreError::Infeasible { .. })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
     fn forced_policies_restrict_the_mode() {
         let res = vec![resource(0, 1e9, f64::INFINITY), resource(1, 1e9, 80e6)];
         let workload = WorkloadSummary {

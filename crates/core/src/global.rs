@@ -5,7 +5,6 @@ use crate::dp::{ChainSegment, WorkloadSummary};
 use crate::dse::{Decision, DseAgent};
 use crate::system_model::SystemModel;
 use crate::CoreError;
-use hidp_dnn::partition::{data_partition, even_fractions};
 use hidp_dnn::{DnnGraph, PartitionMode};
 use hidp_platform::{Cluster, NodeIndex};
 use serde::{Deserialize, Serialize};
@@ -103,17 +102,15 @@ pub fn chain_segments(graph: &DnnGraph) -> Vec<ChainSegment> {
 }
 
 /// Builds the [`WorkloadSummary`] the DP searches consume for a whole graph.
+/// O(1): every field is a constant stored in the graph.
 pub fn workload_summary(graph: &DnnGraph) -> WorkloadSummary {
-    // The per-boundary halo traffic is what the data-partition model reports
-    // for a two-way split's edge part.
-    let sync_bytes = data_partition(graph, &even_fractions(2))
-        .map(|p| p.parts[0].sync_bytes)
-        .unwrap_or(0);
     WorkloadSummary {
         input_bytes: graph.input_shape().bytes(),
         output_bytes: graph.output_shape().bytes(),
         flops: graph.total_flops(),
-        sync_bytes,
+        // The per-boundary halo traffic: what the data-partition model
+        // reports for a two-way split's edge part (one row per layer).
+        sync_bytes: graph.halo_row_bytes(),
     }
 }
 
@@ -261,6 +258,7 @@ impl GlobalPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hidp_dnn::partition::{data_partition, even_fractions};
     use hidp_dnn::zoo::WorkloadModel;
     use hidp_platform::presets;
 
@@ -283,6 +281,15 @@ mod tests {
         assert_eq!(w.input_bytes, graph.input_shape().bytes());
         assert_eq!(w.output_bytes, graph.output_shape().bytes());
         assert!(w.sync_bytes > 0);
+        for model in WorkloadModel::ALL {
+            let graph = model.graph(2);
+            let split = data_partition(&graph, &even_fractions(2)).unwrap();
+            assert_eq!(
+                workload_summary(&graph).sync_bytes,
+                split.parts[0].sync_bytes,
+                "{model}"
+            );
+        }
     }
 
     #[test]

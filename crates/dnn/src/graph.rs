@@ -73,6 +73,11 @@ pub struct DnnGraph {
     prefix_flops: Vec<u64>,
     /// `prefix_output_bytes[i]` = activation bytes of positions `0..i`.
     prefix_output_bytes: Vec<u64>,
+    /// Flops-weighted GPU affinity, folded once at construction.
+    gpu_affinity: f64,
+    /// One output row of every spatially-preserving layer, summed once at
+    /// construction (see [`DnnGraph::halo_row_bytes`]).
+    halo_row_bytes: u64,
 }
 
 impl DnnGraph {
@@ -181,9 +186,8 @@ impl DnnGraph {
         let fingerprint = fingerprint_of(&name, &nodes, &costs);
 
         // Prefix sums over the topological positions, computed once so the
-        // partitioners' per-request chain walks (`chain_segments`,
-        // `workload_summary`) read spans in O(1) instead of re-walking
-        // `cost()` per call.
+        // partitioners' per-request chain walk (`chain_segments`) reads each
+        // span in O(1) instead of re-walking `cost()` per segment.
         let mut prefix_flops = Vec::with_capacity(costs.len() + 1);
         let mut prefix_output_bytes = Vec::with_capacity(costs.len() + 1);
         prefix_flops.push(0);
@@ -195,6 +199,16 @@ impl DnnGraph {
             prefix_flops.push(flops_acc);
             prefix_output_bytes.push(bytes_acc);
         }
+        // The other per-graph planner constants, likewise computed once so
+        // every plan reads them in O(1) (`SystemModel::new`,
+        // `workload_summary`, `data_partition`).
+        let gpu_affinity = nodes
+            .iter()
+            .zip(costs.iter())
+            .map(|(n, c)| n.kind.gpu_affinity() * c.flops as f64)
+            .sum::<f64>()
+            / flops_acc.max(1) as f64;
+        let halo_row_bytes = halo_row_bytes_of(&nodes, &costs);
 
         Ok(Self {
             name,
@@ -206,6 +220,8 @@ impl DnnGraph {
             fingerprint,
             prefix_flops,
             prefix_output_bytes,
+            gpu_affinity,
+            halo_row_bytes,
         })
     }
 
@@ -340,15 +356,18 @@ impl DnnGraph {
 
     /// Average GPU affinity of the network, weighted by per-layer flops.
     /// Close to 1.0 for dense convolutional networks (VGG), noticeably lower
-    /// for depthwise-separable networks (EfficientNet).
+    /// for depthwise-separable networks (EfficientNet). O(1): folded once at
+    /// construction.
     pub fn gpu_affinity(&self) -> f64 {
-        let total = self.total_flops().max(1) as f64;
-        self.nodes
-            .iter()
-            .zip(self.costs.iter())
-            .map(|(n, c)| n.kind.gpu_affinity() * c.flops as f64)
-            .sum::<f64>()
-            / total
+        self.gpu_affinity
+    }
+
+    /// Bytes of one output row (all batch images and channels) of every
+    /// spatially-preserving layer — convolution, depthwise convolution and
+    /// pooling: the halo a data-partitioned part exchanges with one
+    /// neighbour. O(1): summed once at construction.
+    pub fn halo_row_bytes(&self) -> u64 {
+        self.halo_row_bytes
     }
 
     /// A content fingerprint of the graph: name, topology and every
@@ -376,6 +395,26 @@ impl DnnGraph {
         }
         Self::new(self.name.clone(), nodes)
     }
+}
+
+/// Sums one output row of every spatially-preserving layer. Called once
+/// from [`DnnGraph::new`] and stored.
+fn halo_row_bytes_of(nodes: &[LayerNode], costs: &[NodeCost]) -> u64 {
+    nodes
+        .iter()
+        .zip(costs)
+        .filter_map(|(node, cost)| match &cost.output_shape {
+            Shape::Map { n: batch, c, w, .. }
+                if matches!(
+                    node.kind.category(),
+                    "conv" | "dwconv" | "maxpool" | "avgpool"
+                ) =>
+            {
+                Some((*batch * *c * *w * 4) as u64)
+            }
+            _ => None,
+        })
+        .sum()
 }
 
 /// Hashes everything the partitioning strategies can observe about a graph.
@@ -723,6 +762,40 @@ mod tests {
                     assert_eq!(g.span_flops(first, last), flops);
                     assert_eq!(g.span_output_bytes(first, last), bytes);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn stored_planner_constants_match_a_fresh_layer_walk() {
+        for model in crate::zoo::WorkloadModel::ALL {
+            for batch in [1, 8] {
+                let g = model.graph(batch);
+                let walk = || g.nodes().iter().map(|n| (n, g.cost(n.id).unwrap()));
+                let affinity = walk()
+                    .map(|(n, c)| n.kind.gpu_affinity() * c.flops as f64)
+                    .sum::<f64>()
+                    / g.total_flops().max(1) as f64;
+                assert_eq!(
+                    g.gpu_affinity().to_bits(),
+                    affinity.to_bits(),
+                    "{model} b{batch}"
+                );
+                let halo: u64 = walk()
+                    .filter_map(|(n, c)| match &c.output_shape {
+                        Shape::Map { n: b, c: ch, w, .. }
+                            if matches!(
+                                n.kind.category(),
+                                "conv" | "dwconv" | "maxpool" | "avgpool"
+                            ) =>
+                        {
+                            Some((b * ch * w * 4) as u64)
+                        }
+                        _ => None,
+                    })
+                    .sum();
+                assert!(halo > 0, "{model} b{batch}");
+                assert_eq!(g.halo_row_bytes(), halo, "{model} b{batch}");
             }
         }
     }

@@ -8,7 +8,6 @@
 //! computation-to-communication trade-off the paper describes in §II-A.
 
 use crate::graph::DnnGraph;
-use crate::layer::Shape;
 use crate::DnnError;
 use serde::{Deserialize, Serialize};
 
@@ -70,30 +69,6 @@ pub fn even_fractions(parts: usize) -> Vec<f64> {
     vec![1.0 / parts as f64; parts.max(1)]
 }
 
-/// Estimated per-image halo traffic (bytes) for one part: one boundary row
-/// (top and bottom for interior parts) of every spatially-preserving layer's
-/// output.
-fn halo_bytes(graph: &DnnGraph, interior: bool) -> u64 {
-    let boundary_rows = if interior { 2 } else { 1 };
-    graph
-        .nodes()
-        .iter()
-        .filter_map(|n| {
-            let cost = graph.cost(n.id).ok()?;
-            match &cost.output_shape {
-                Shape::Map { n: batch, c, w, .. } => {
-                    if matches!(n.kind.category(), "conv" | "dwconv" | "maxpool" | "avgpool") {
-                        Some((*batch * *c * *w * 4) as u64 * boundary_rows)
-                    } else {
-                        None
-                    }
-                }
-                Shape::Vector { .. } => None,
-            }
-        })
-        .sum()
-}
-
 /// Builds a data partition of `graph` where part `i` processes `fractions[i]`
 /// of the input.
 ///
@@ -126,13 +101,14 @@ pub fn data_partition(graph: &DnnGraph, fractions: &[f64]) -> Result<DataPartiti
         .iter()
         .enumerate()
         .map(|(index, &fraction)| {
-            let single = fractions.len() == 1;
-            let interior = !single && index > 0 && index + 1 < fractions.len();
-            let sync = if single {
-                0
-            } else {
-                halo_bytes(graph, interior)
+            // Halo traffic: one boundary row of every spatially-preserving
+            // layer's output per neighbour (two for interior parts).
+            let neighbours = match fractions.len() {
+                1 => 0,
+                len if index > 0 && index + 1 < len => 2,
+                _ => 1,
             };
+            let sync = graph.halo_row_bytes() * neighbours;
             // Halo rows are recomputed by both neighbours; approximate the
             // extra work as the flops equivalent of the exchanged bytes.
             let halo_flops = sync / 4;

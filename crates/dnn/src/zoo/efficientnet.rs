@@ -3,7 +3,8 @@
 //!
 //! Squeeze-and-excitation blocks are omitted (they contribute <1% of the
 //! network's flops and do not change partitioning decisions); the omission is
-//! recorded in DESIGN.md. The heavy use of depthwise convolutions is what
+//! one of the reproduction's analytical simplifications (PAPER.md, *What
+//! this repository reproduces*). The heavy use of depthwise convolutions is what
 //! makes this network comparatively CPU-friendly — the effect behind the P9
 //! configuration winning for EfficientNet in Fig. 1 of the paper.
 

@@ -6,8 +6,9 @@
 //! strides follow the published architectures) so that per-layer flops,
 //! parameter sizes and activation sizes — the only quantities the HiDP
 //! decision problem consumes — are realistic. Squeeze-and-excitation blocks
-//! in EfficientNet are omitted (they contribute <1% of flops); this is
-//! recorded in DESIGN.md.
+//! in EfficientNet are omitted (they contribute <1% of flops), one of the
+//! reproduction's analytical simplifications (PAPER.md, *What this
+//! repository reproduces*).
 
 mod efficientnet;
 mod inception;

@@ -7,8 +7,8 @@
 //! The paper evaluates on physical Jetson and Raspberry Pi boards; this crate
 //! provides calibrated analytical models of the same devices
 //! ([`presets::paper_cluster`]) so that the partitioning and scheduling code
-//! paths can be exercised without the hardware. See DESIGN.md for the
-//! substitution rationale.
+//! paths can be exercised without the hardware. PAPER.md (*What this
+//! repository reproduces*) explains why the reproduction is analytical.
 //!
 //! ```
 //! use hidp_platform::presets;
