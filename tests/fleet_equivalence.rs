@@ -6,10 +6,12 @@
 //!    policy collapses to "send everything to cluster 0" and the WAN cost
 //!    is zero, so the fleet run must agree with
 //!    `ServingScenario::run_streaming` on the same requests and serving
-//!    config — exactly, on every exactly-tracked aggregate, with or without
-//!    drift, stragglers, the adaptive loop and kill semantics. (Percentiles
-//!    are excluded by design: the single-cluster path estimates them with
-//!    P² sketches, the fleet with mergeable log-histograms.)
+//!    config — exactly, on every exactly-tracked aggregate, under every
+//!    admission policy, with a bounded or unbounded in-flight window, and
+//!    with or without drift, stragglers, the adaptive loop, kill semantics
+//!    and load shedding. (Percentiles are excluded by design: the
+//!    single-cluster path estimates them with P² sketches, the fleet with
+//!    mergeable log-histograms.)
 //! 2. **Thread-count invariance**: the sweep only decides *which thread*
 //!    advances which cluster, so the whole `FleetSummary` must be
 //!    bit-identical at 1/2/4/8 threads, for every routing policy, with
@@ -17,7 +19,7 @@
 
 use hidp::core::{
     AdaptiveConfig, AdmissionPolicy, FailureMode, FleetScenario, FleetScratch, ParallelSweep,
-    RoutingPolicy, ServingScenario, SlaClass,
+    RecoveryPolicy, RoutingPolicy, ServingScenario, SlaClass,
 };
 use hidp::platform::{
     presets, Cluster, ClusterTimeline, DriftModel, Fleet, Link, NodeIndex, SlowdownWindow, WanModel,
@@ -42,31 +44,22 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
     let fleet = single_cluster_fleet(cluster.clone());
     let strategy = HidpStrategy::new();
 
-    let requests = poisson_stream_classed(
-        &[
-            WorkloadModel::EfficientNetB0,
-            WorkloadModel::InceptionV3,
-            WorkloadModel::ResNet152,
-        ],
-        4.0,
-        90,
-        17,
-        &SlaClass::ALL,
-    );
-    let serving_requests = hidp::workloads::InferenceRequest::to_serving(&requests);
-    let fleet_requests: Vec<FleetRequest> = serving_requests
-        .iter()
-        .map(|&r| FleetRequest::new(r, 0))
-        .collect();
+    let models = [
+        WorkloadModel::EfficientNetB0,
+        WorkloadModel::InceptionV3,
+        WorkloadModel::ResNet152,
+    ];
+    let stream = |rate: f64| {
+        let requests = poisson_stream_classed(&models, rate, 90, 17, &SlaClass::ALL);
+        hidp::workloads::InferenceRequest::to_serving(&requests)
+    };
+    let light = stream(4.0);
     let timeline = ClusterTimeline::new()
         .node_down(1.0, NodeIndex(3))
         .unwrap()
         .node_up(6.0, NodeIndex(3))
         .unwrap();
-    let horizon = serving_requests
-        .iter()
-        .map(|r| r.arrival)
-        .fold(1.0, f64::max);
+    let horizon = light.iter().map(|r| r.arrival).fold(1.0, f64::max);
     let drift = standard_drift_suite(&[cluster.len()], 0xd21f7, horizon, LEADER)
         .unwrap()
         .remove(0);
@@ -76,62 +69,127 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
         end: 8.0,
         factor: 2.5,
     };
-    // (name, drift, stragglers, adaptive loop, failure mode): the plain
-    // config, each robust input alone, and all of them at once. Kill runs
-    // have no retry, so the killed requests are lost.
-    let variants: [(&str, DriftModel, Vec<SlowdownWindow>, bool, FailureMode); 6] = [
-        (
-            "plain",
-            DriftModel::default(),
-            vec![],
-            false,
-            FailureMode::Ignore,
-        ),
-        ("drift", drift.clone(), vec![], false, FailureMode::Ignore),
-        (
-            "slowdown",
-            DriftModel::default(),
-            vec![slowdown],
-            false,
-            FailureMode::Ignore,
-        ),
-        (
-            "adaptive",
-            DriftModel::default(),
-            vec![],
-            true,
-            FailureMode::Ignore,
-        ),
-        (
-            "kill",
-            DriftModel::default(),
-            vec![],
-            false,
-            FailureMode::Kill,
-        ),
-        ("all", drift, vec![slowdown], true, FailureMode::Kill),
+    // One row per configuration: the plain config, each robust input
+    // alone, and all of them at once. Kill runs have no retry, so the killed
+    // requests are lost. The unbounded window admits every request at its
+    // arrival. Shedding only fires under overload, so its rows also run a
+    // 10x denser stream.
+    #[derive(Clone)]
+    struct Variant {
+        name: &'static str,
+        rate: f64,
+        drift: DriftModel,
+        slowdowns: Vec<SlowdownWindow>,
+        adaptive: bool,
+        failures: FailureMode,
+        max_inflight: Option<usize>,
+        shed: bool,
+    }
+    let plain = Variant {
+        name: "plain",
+        rate: 4.0,
+        drift: DriftModel::default(),
+        slowdowns: vec![],
+        adaptive: false,
+        failures: FailureMode::Ignore,
+        max_inflight: Some(2),
+        shed: false,
+    };
+    let variants = [
+        Variant {
+            name: "drift",
+            drift: drift.clone(),
+            ..plain.clone()
+        },
+        Variant {
+            name: "slowdown",
+            slowdowns: vec![slowdown],
+            ..plain.clone()
+        },
+        Variant {
+            name: "adaptive",
+            adaptive: true,
+            ..plain.clone()
+        },
+        Variant {
+            name: "kill",
+            failures: FailureMode::Kill,
+            ..plain.clone()
+        },
+        Variant {
+            name: "unbounded",
+            max_inflight: None,
+            ..plain.clone()
+        },
+        Variant {
+            name: "shed",
+            rate: 40.0,
+            shed: true,
+            ..plain.clone()
+        },
+        Variant {
+            name: "shed-unbounded",
+            rate: 40.0,
+            max_inflight: None,
+            shed: true,
+            ..plain.clone()
+        },
+        Variant {
+            name: "all",
+            rate: 4.0,
+            drift,
+            slowdowns: vec![slowdown],
+            adaptive: true,
+            failures: FailureMode::Kill,
+            max_inflight: Some(2),
+            shed: true,
+        },
+        plain,
     ];
 
-    for policy in [AdmissionPolicy::Fifo, AdmissionPolicy::EarliestDeadline] {
-        for (name, drift, slowdowns, adaptive, failures) in &variants {
-            let mut serving = ServingScenario::new(serving_requests.clone())
+    for policy in [
+        AdmissionPolicy::Fifo,
+        AdmissionPolicy::Priority,
+        AdmissionPolicy::EarliestDeadline,
+    ] {
+        for variant in &variants {
+            let name = variant.name;
+            let serving_requests = stream(variant.rate);
+            let fleet_requests: Vec<FleetRequest> = serving_requests
+                .iter()
+                .map(|&r| FleetRequest::new(r, 0))
+                .collect();
+            let recovery = RecoveryPolicy {
+                shed: variant.shed,
+                ..RecoveryPolicy::default()
+            };
+            let mut serving = ServingScenario::new(serving_requests)
                 .with_policy(policy)
                 .with_max_batch(4)
-                .with_max_inflight(Some(2))
+                .with_max_inflight(variant.max_inflight)
                 .with_timeline(timeline.clone())
-                .with_drift(drift.clone())
-                .with_slowdowns(slowdowns.clone())
-                .with_failure_mode(*failures);
-            if *adaptive {
+                .with_drift(variant.drift.clone())
+                .with_slowdowns(variant.slowdowns.clone())
+                .with_failure_mode(variant.failures)
+                .with_recovery(recovery);
+            if variant.adaptive {
                 serving = serving.with_adaptive(AdaptiveConfig::default());
             }
             let reference = serving
                 .run_streaming(&strategy, &cluster, LEADER)
                 .expect("serving run succeeds");
-            if *failures == FailureMode::Kill {
+            if variant.failures == FailureMode::Kill {
                 assert!(
                     reference.robustness.lost > 0,
                     "{name}: the timeline kills work"
+                );
+            }
+            // An overloaded bounded window must shed.
+            if variant.shed && variant.rate > 4.0 && variant.max_inflight.is_some() {
+                assert!(
+                    reference.robustness.shed > 0,
+                    "{name}/{}: shedding fires",
+                    policy.name()
                 );
             }
 
@@ -145,12 +203,13 @@ fn degenerate_single_cluster_fleet_matches_serving_streaming() {
                     .with_routing(routing)
                     .with_policy(policy)
                     .with_max_batch(4)
-                    .with_max_inflight(Some(2))
+                    .with_max_inflight(variant.max_inflight)
                     .with_timelines(vec![timeline.clone()])
-                    .with_drifts(vec![drift.clone()])
-                    .with_slowdowns(vec![slowdowns.clone()])
-                    .with_failure_mode(*failures);
-                if *adaptive {
+                    .with_drifts(vec![variant.drift.clone()])
+                    .with_slowdowns(vec![variant.slowdowns.clone()])
+                    .with_failure_mode(variant.failures)
+                    .with_recovery(recovery);
+                if variant.adaptive {
                     scenario = scenario.with_adaptive(AdaptiveConfig::default());
                 }
                 let fleet_summary = scenario
