@@ -53,26 +53,24 @@
 //! request away from its region costs tail latency and SLA misses, which is
 //! exactly the trade-off locality routing navigates.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftStats};
+use crate::adaptive::{AdaptiveConfig, DriftStats};
 use crate::parallel::ParallelSweep;
-use crate::pending::{plan_node_mask, PendingBatch, PendingFifo};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, Departure, DispatchEstimator, FailureMode, IndexedQueue, RecoveryPolicy,
-    RobustnessStats, ServingRequest,
+    AdmissionPolicy, FailureMode, KillFate, RecoveryPolicy, RobustnessStats, ServeEnv, ServeState,
+    ServeTier, ServingRequest,
 };
 use crate::strategy::DistributedStrategy;
-use crate::{CoreError, PlanKey};
+use crate::CoreError;
 use hidp_dnn::zoo::WorkloadModel;
-use hidp_dnn::DnnGraph;
 use hidp_platform::{
-    AvailabilityEvent, Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow,
-    WanDegradation,
+    Cluster, ClusterTimeline, DriftModel, Fleet, NodeIndex, SlowdownWindow, WanDegradation,
 };
 use hidp_sim::serving::{LatencyHistogram, LatencySummary, SlaClass, SlaClassReport};
+use hidp_sim::ExecutionPlan;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One request entering the fleet: a serving request plus the region it
@@ -401,17 +399,6 @@ impl FleetScenario {
         let payload = self.config.payload_bytes;
         let hint = self.config.route_cost_hint_s;
         let degradations = self.config.wan_degradations.as_slice();
-        let ctx = RoundCtx {
-            strategy,
-            leader,
-            policy: self.config.policy,
-            max_batch: self.config.max_batch.max(1),
-            max_inflight: self.config.max_inflight.map(|w| w.max(1)),
-            kill: self.config.failures == FailureMode::Kill,
-            recovery: self.config.recovery,
-            adaptive: self.config.adaptive,
-        };
-
         scratch.ensure(cluster_count);
         let FleetScratch {
             workers,
@@ -422,15 +409,9 @@ impl FleetScenario {
         let caches: &[PlanCache] = caches;
         retries.clear();
         let mut retry_seq = 0u64;
+        let env = |i: usize| self.cluster_env(i, strategy, &clusters[i], leader, &caches[i]);
         for (i, worker) in workers.iter_mut().enumerate() {
-            let has_events = self.config.timelines.get(i).is_some_and(|t| !t.is_empty());
-            worker.reset(
-                &clusters[i],
-                strategy,
-                leader,
-                has_events,
-                self.config.adaptive.as_ref(),
-            );
+            worker.reset(&env(i));
         }
 
         // Global arrival order: by normalised time, ties by input index.
@@ -478,7 +459,7 @@ impl FleetScenario {
             // at the same instant goes first: it is strictly older work).
             let barrier = boundary as f64 * round_seconds;
             for worker in workers.iter_mut() {
-                worker.backlog = (worker.dispatch.horizon() - barrier).max(0.0);
+                worker.backlog = (worker.state.dispatch.horizon() - barrier).max(0.0);
                 worker.routed_in_round = 0;
             }
             loop {
@@ -551,30 +532,7 @@ impl FleetScenario {
             }
 
             // Advance every cluster to the barrier, in parallel.
-            sweep.run_mut(workers, |i, worker| {
-                let events = self
-                    .config
-                    .timelines
-                    .get(i)
-                    .map(ClusterTimeline::events)
-                    .unwrap_or(&[]);
-                let slowdowns = self
-                    .config
-                    .slowdowns
-                    .get(i)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let drift = self.config.drifts.get(i).filter(|d| !d.is_empty());
-                worker.advance(
-                    &ctx,
-                    &clusters[i],
-                    events,
-                    slowdowns,
-                    drift,
-                    &caches[i],
-                    t_end,
-                );
-            });
+            sweep.run_mut(workers, |i, worker| worker.advance(&env(i), t_end));
             for worker in workers.iter_mut() {
                 if let Some(error) = worker.error.take() {
                     return Err(error);
@@ -583,7 +541,7 @@ impl FleetScenario {
             // Collect this round's kill fallout in cluster index order (the
             // deterministic global retry order at any thread count).
             for (c, worker) in workers.iter_mut().enumerate() {
-                for retry in worker.retry_out.drain(..) {
+                for retry in worker.hooks.retry_out.drain(..) {
                     retries.push(Reverse(FleetRetryEntry {
                         release: retry.release + 0.0,
                         seq: retry_seq,
@@ -638,40 +596,36 @@ impl FleetScenario {
         let mut drift = DriftStats::default();
         let mut time_to_first_retry = f64::INFINITY;
         let mut recovery_hist = LatencyHistogram::new();
-        for worker in workers {
-            robustness.merge(&worker.robustness);
-            drift.merge(&DriftStats {
-                replans: worker.adaptive.replans,
-                observations: worker.adaptive.observations,
-                energy_j: worker.dispatch.energy_j,
-            });
-            if worker.first_retry < time_to_first_retry {
-                time_to_first_retry = worker.first_retry;
+        for ClusterWorker { state, hooks, .. } in workers {
+            robustness.merge(&state.robustness);
+            drift.merge(&state.drift_stats());
+            if hooks.first_retry < time_to_first_retry {
+                time_to_first_retry = hooks.first_retry;
             }
-            recovery_hist.merge(&worker.recovered_latency);
-            latency.merge(&worker.latency);
+            recovery_hist.merge(&hooks.recovered_latency);
+            latency.merge(&hooks.latency);
             for (c, hist) in class_latency.iter_mut().enumerate() {
-                hist.merge(&worker.class_latency[c]);
+                hist.merge(&hooks.class_latency[c]);
             }
-            queueing_sum += worker.queueing_sum;
-            if worker.queueing_max > queueing_max {
-                queueing_max = worker.queueing_max;
+            queueing_sum += hooks.queueing_sum;
+            if hooks.queueing_max > queueing_max {
+                queueing_max = hooks.queueing_max;
             }
             for c in 0..3 {
-                class_queueing_sum[c] += worker.class_queueing_sum[c];
-                class_misses[c] += worker.class_misses[c];
+                class_queueing_sum[c] += hooks.class_queueing_sum[c];
+                class_misses[c] += hooks.class_misses[c];
             }
-            deadline_misses += worker.deadline_misses;
-            if worker.makespan > makespan {
-                makespan = worker.makespan;
+            deadline_misses += hooks.deadline_misses;
+            if state.makespan > makespan {
+                makespan = state.makespan;
             }
-            batches += worker.batches;
-            epochs_applied += worker.epoch;
-            plan_cache.hits += worker.stats.hits;
-            plan_cache.misses += worker.stats.misses;
-            busiest = busiest.max(worker.requests.len());
-            idlest = idlest.min(worker.requests.len());
-            wan_sum += worker.wan2.iter().sum::<f64>();
+            batches += state.batches;
+            epochs_applied += state.epoch;
+            plan_cache.hits += state.stats.hits;
+            plan_cache.misses += state.stats.misses;
+            busiest = busiest.max(hooks.requests.len());
+            idlest = idlest.min(hooks.requests.len());
+            wan_sum += hooks.wan2.iter().sum::<f64>();
         }
         let mut per_class = [None; 3];
         for (c, &class) in SlaClass::ALL.iter().enumerate() {
@@ -719,6 +673,35 @@ impl FleetScenario {
             time_to_first_retry,
             recovery_latency: recovery_hist.summary(),
         })
+    }
+
+    /// The serving-loop inputs of cluster `i`: the shared admission and
+    /// recovery rules plus the cluster's own timeline, stragglers and
+    /// drift.
+    fn cluster_env<'a>(
+        &'a self,
+        i: usize,
+        strategy: &'a dyn DistributedStrategy,
+        cluster: &'a Cluster,
+        leader: NodeIndex,
+        cache: &'a PlanCache,
+    ) -> ServeEnv<'a> {
+        let config = &self.config;
+        ServeEnv {
+            strategy,
+            cluster,
+            leader,
+            cache,
+            policy: config.policy,
+            max_batch: config.max_batch.max(1),
+            max_inflight: config.max_inflight.map(|w| w.max(1)),
+            kill: config.failures == FailureMode::Kill,
+            recovery: config.recovery,
+            events: config.timelines.get(i).map_or(&[], ClusterTimeline::events),
+            slowdowns: config.slowdowns.get(i).map_or(&[], Vec::as_slice),
+            drift: config.drifts.get(i).filter(|d| !d.is_empty()),
+            adaptive: config.adaptive.as_ref(),
+        }
     }
 
     /// Rejects empty scenarios, invalid requests/regions, malformed round
@@ -856,18 +839,6 @@ impl FleetScenario {
         }
         Ok(())
     }
-}
-
-/// Read-only per-round context shared by every cluster worker.
-struct RoundCtx<'a> {
-    strategy: &'a dyn DistributedStrategy,
-    leader: NodeIndex,
-    policy: AdmissionPolicy,
-    max_batch: usize,
-    max_inflight: Option<usize>,
-    kill: bool,
-    recovery: RecoveryPolicy,
-    adaptive: Option<AdaptiveConfig>,
 }
 
 /// Routes one arrival to a cluster (serial, deterministic). `exclude` is
@@ -1060,7 +1031,10 @@ impl FleetScratch {
     /// Requests routed to each cluster in the most recent run (allocates;
     /// for post-run reporting, not the hot path).
     pub fn cluster_requests(&self) -> Vec<usize> {
-        self.workers.iter().map(|w| w.requests.len()).collect()
+        self.workers
+            .iter()
+            .map(|w| w.hooks.requests.len())
+            .collect()
     }
 
     /// Sizes the per-cluster state (only allocates on first use or growth).
@@ -1076,11 +1050,26 @@ impl FleetScratch {
     }
 }
 
-/// One cluster's incremental serving loop: the state of
-/// [`crate::ServingScenario::run_streaming`]'s loop, persisted across router
-/// rounds so the loop can stop at a barrier and resume bit-identically.
+/// One cluster of the fleet: the serving loop's resumable [`ServeState`],
+/// persisted across router rounds so the loop can stop at a barrier and
+/// resume bit-identically, plus the fleet's side of the loop
+/// ([`FleetHooks`]) and the routing signals the serial router reads.
 #[derive(Debug)]
 struct ClusterWorker {
+    state: ServeState,
+    hooks: FleetHooks,
+    // Routing signals read by the (serial) router.
+    fingerprint: u64,
+    backlog: f64,
+    routed_in_round: u32,
+    error: Option<CoreError>,
+}
+
+/// The fleet's side of one cluster's serving loop: the router's deliveries,
+/// killed requests handed back for failover, and the WAN-inclusive latency
+/// accounting.
+#[derive(Debug, Default)]
+struct FleetHooks {
     // Deliveries from the router, in (ready, delivery) order.
     requests: Vec<ServingRequest>,
     /// Per delivery: WAN round trip added to its reported latency.
@@ -1091,167 +1080,144 @@ struct ClusterWorker {
     ready: Vec<f64>,
     global: Vec<u32>,
     attempts_in: Vec<u32>,
-    // The serving loop's state (field-for-field its locals and scratch).
-    key: PlanKey,
-    queue: IndexedQueue,
-    members: Vec<u32>,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
-    dispatch: DispatchEstimator,
-    inflight: BinaryHeap<Reverse<Departure>>,
-    epoch_cluster: Option<Cluster>,
-    next_event: usize,
-    epoch: usize,
-    departure_seq: u64,
-    next_arrival: usize,
-    now: f64,
-    stats: PlanCacheStats,
-    // Admitted batches awaiting completion, kills handed back to the
-    // router, and the request accounting.
-    pending: PendingFifo,
+    /// Deliveries already queued.
+    queued: usize,
+    /// Kills handed back to the router.
     retry_out: Vec<FleetRetry>,
-    robustness: RobustnessStats,
-    // Adaptive estimation/re-planning state.
-    adaptive: AdaptiveState,
-    // Virtual time of the first kill that produced a retry (INFINITY if
-    // none), and latency histogram over completions that needed a retry.
+    /// Virtual time of the first kill that produced a retry (`INFINITY` if
+    /// none).
     first_retry: f64,
-    recovered_latency: LatencyHistogram,
-    // Routing signals read by the (serial) router.
-    fingerprint: u64,
-    backlog: f64,
-    routed_in_round: u32,
-    // Streaming aggregates (exact-merge histograms + exact sums).
+    // Streaming aggregates (exact-merge histograms + exact sums); the
+    // recovered histogram covers completions that needed a retry.
     latency: LatencyHistogram,
+    recovered_latency: LatencyHistogram,
     class_latency: [LatencyHistogram; 3],
     queueing_sum: f64,
     queueing_max: f64,
     class_queueing_sum: [f64; 3],
     class_misses: [usize; 3],
     deadline_misses: usize,
-    makespan: f64,
-    batches: usize,
-    error: Option<CoreError>,
 }
 
-impl ClusterWorker {
-    fn new() -> Self {
-        Self {
-            requests: Vec::new(),
-            wan2: Vec::new(),
-            ready: Vec::new(),
-            global: Vec::new(),
-            attempts_in: Vec::new(),
-            key: PlanKey {
-                strategy: String::new(),
-                strategy_config: String::new(),
-                graph_fingerprint: 0,
-                batch: 0,
-                leader: NodeIndex(0),
-                cluster_fingerprint: 0,
-            },
-            queue: IndexedQueue::default(),
-            members: Vec::new(),
-            graphs: HashMap::new(),
-            dispatch: DispatchEstimator::default(),
-            inflight: BinaryHeap::new(),
-            epoch_cluster: None,
-            next_event: 0,
-            epoch: 0,
-            departure_seq: 0,
-            next_arrival: 0,
-            now: 0.0,
-            stats: PlanCacheStats::default(),
-            pending: PendingFifo::default(),
-            retry_out: Vec::new(),
-            robustness: RobustnessStats::default(),
-            adaptive: AdaptiveState::default(),
-            first_retry: f64::INFINITY,
-            recovered_latency: LatencyHistogram::new(),
-            fingerprint: 0,
-            backlog: 0.0,
-            routed_in_round: 0,
-            latency: LatencyHistogram::new(),
-            class_latency: [LatencyHistogram::new(); 3],
-            queueing_sum: 0.0,
-            queueing_max: 0.0,
-            class_queueing_sum: [0.0; 3],
-            class_misses: [0; 3],
-            deadline_misses: 0,
-            makespan: 0.0,
-            batches: 0,
-            error: None,
-        }
-    }
-
-    /// Rearms the worker for a new run over `cluster`, keeping every
-    /// buffer's capacity (and the persistent intern tables).
-    fn reset(
-        &mut self,
-        cluster: &Cluster,
-        strategy: &dyn DistributedStrategy,
-        leader: NodeIndex,
-        has_events: bool,
-        adaptive: Option<&AdaptiveConfig>,
-    ) {
+impl FleetHooks {
+    /// Clears the deliveries and accounting, keeping buffer capacity.
+    fn reset(&mut self) {
         self.requests.clear();
         self.wan2.clear();
         self.ready.clear();
         self.global.clear();
         self.attempts_in.clear();
-        self.key.strategy.clear();
-        self.key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut self.key.strategy_config);
-        self.key.graph_fingerprint = 0;
-        self.key.batch = 0;
-        self.key.leader = leader;
-        self.key.cluster_fingerprint = cluster.fingerprint();
-        self.queue.begin();
-        self.dispatch.reset();
-        self.inflight.clear();
-        if has_events {
-            match &mut self.epoch_cluster {
-                Some(c) => {
-                    // Availability-only rewind keeps warm passes zero-alloc;
-                    // a different base cluster falls back to a full clone.
-                    if c.restore_availability_from(cluster).is_err() {
-                        c.clone_from(cluster);
-                    }
-                }
-                None => self.epoch_cluster = Some(cluster.clone()),
-            }
-        } else {
-            self.epoch_cluster = None;
-        }
-        self.next_event = 0;
-        self.epoch = 0;
-        self.departure_seq = 0;
-        self.next_arrival = 0;
-        self.now = 0.0;
-        self.stats = PlanCacheStats::default();
-        self.pending.clear();
         self.retry_out.clear();
-        self.robustness = RobustnessStats::default();
-        // Reset also deactivates any belief a previous run materialised: a
-        // non-adaptive run must not inherit it, and an adaptive steady-state
-        // pass must rediscover it exactly like the warm pass did.
-        match adaptive {
-            Some(cfg) => self.adaptive.reset(cfg, cluster.len()),
-            None => self.adaptive.reset(&AdaptiveConfig::default(), 0),
-        }
+        self.queued = 0;
         self.first_retry = f64::INFINITY;
-        self.recovered_latency = LatencyHistogram::new();
-        self.fingerprint = cluster.fingerprint();
-        self.backlog = 0.0;
-        self.routed_in_round = 0;
         self.latency = LatencyHistogram::new();
+        self.recovered_latency = LatencyHistogram::new();
         self.class_latency = [LatencyHistogram::new(); 3];
         self.queueing_sum = 0.0;
         self.queueing_max = 0.0;
         self.class_queueing_sum = [0.0; 3];
         self.class_misses = [0; 3];
         self.deadline_misses = 0;
-        self.makespan = 0.0;
-        self.batches = 0;
+    }
+}
+
+impl ServeTier for FleetHooks {
+    fn requests(&self) -> &[ServingRequest] {
+        &self.requests
+    }
+
+    fn next_ready(&self) -> Option<f64> {
+        self.ready.get(self.queued).copied()
+    }
+
+    fn pop_ready(&mut self, now: f64) -> Option<u32> {
+        let idx = self.queued;
+        (self.ready.get(idx)? <= &now).then(|| {
+            self.queued += 1;
+            idx as u32
+        })
+    }
+
+    /// Earliest-deadline ranks by — and shedding tests — when the reply
+    /// must *leave* this cluster: `arrival + deadline − WAN round trip`
+    /// (the deadline rule in `hidp_sim::serving`). With zero WAN cost (a
+    /// one-cluster fleet) this is the serving tier's deadline.
+    fn deadline(&self, idx: u32) -> f64 {
+        let i = idx as usize;
+        let request = &self.requests[i];
+        request.arrival + request.sla.deadline_seconds() - self.wan2[i]
+    }
+
+    fn on_admit(&mut self, _: f64, _: usize, _: &[u32], _: &Arc<ExecutionPlan>) {}
+
+    /// Observes each member's fleet latency, WAN round trip included.
+    fn on_settle(&mut self, admitted: f64, completion: f64, members: &[u32]) {
+        for &m in members {
+            let m = m as usize;
+            let request = &self.requests[m];
+            let lat = completion - request.arrival + self.wan2[m];
+            let delay = admitted - request.arrival;
+            self.latency.observe(lat);
+            if self.attempts_in[m] > 0 {
+                // This completion only happened because a retry was
+                // re-routed here: its latency is the recovery cost.
+                self.recovered_latency.observe(lat);
+            }
+            self.queueing_sum += delay;
+            if delay > self.queueing_max {
+                self.queueing_max = delay;
+            }
+            let class = request.sla.priority() as usize;
+            self.class_latency[class].observe(lat);
+            self.class_queueing_sum[class] += delay;
+            if lat > request.sla.deadline_seconds() {
+                self.deadline_misses += 1;
+                self.class_misses[class] += 1;
+            }
+        }
+    }
+
+    /// A retry goes back to the router, which re-routes it away from this
+    /// cluster next round (failover) instead of re-queueing it here.
+    fn on_kill(&mut self, member: u32, at: f64, recovery: &RecoveryPolicy) -> KillFate {
+        let i = member as usize;
+        let attempt = self.attempts_in[i] + 1;
+        let global = self.global[i];
+        let fate = recovery.kill_fate(&self.requests[i], attempt, u64::from(global), at);
+        if let KillFate::Retry(release) = fate {
+            self.retry_out.push(FleetRetry {
+                global,
+                release,
+                attempts: attempt,
+            });
+            if at < self.first_retry {
+                self.first_retry = at + 0.0;
+            }
+        }
+        fate
+    }
+}
+
+impl ClusterWorker {
+    fn new() -> Self {
+        Self {
+            state: ServeState::new(),
+            hooks: FleetHooks::default(),
+            fingerprint: 0,
+            backlog: 0.0,
+            routed_in_round: 0,
+            error: None,
+        }
+    }
+
+    /// Rearms the worker for a new run, keeping every buffer's capacity
+    /// (and the persistent intern tables).
+    fn reset(&mut self, env: &ServeEnv<'_>) {
+        self.state.reset(env, 0);
+        self.hooks.reset();
+        self.fingerprint = env.cluster.fingerprint();
+        self.backlog = 0.0;
+        self.routed_in_round = 0;
         self.error = None;
     }
 
@@ -1268,338 +1234,28 @@ impl ClusterWorker {
         global: u32,
         attempts: u32,
     ) {
-        self.requests.push(request);
-        self.wan2.push(wan_round_trip);
-        self.ready.push(ready + 0.0);
-        self.global.push(global);
-        self.attempts_in.push(attempts);
-        self.queue.ensure(self.requests.len());
+        let hooks = &mut self.hooks;
+        hooks.requests.push(request);
+        hooks.wan2.push(wan_round_trip);
+        hooks.ready.push(ready + 0.0);
+        hooks.global.push(global);
+        hooks.attempts_in.push(attempts);
+        self.state.queue.ensure(hooks.requests.len());
     }
 
-    /// Advances the cluster to the round barrier, trapping any error for
-    /// the router to surface after the parallel section.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        slowdowns: &[SlowdownWindow],
-        drift: Option<&DriftModel>,
-        cache: &PlanCache,
-        t_end: f64,
-    ) {
+    /// Advances the cluster's serving loop to the round barrier `t_end`,
+    /// trapping any error for the router to surface after the parallel
+    /// section. The router delivers every arrival `≤ t_end` before calling
+    /// this, so each step sees exactly the arrival set the one-shot loop
+    /// would.
+    fn advance(&mut self, env: &ServeEnv<'_>, t_end: f64) {
         if self.error.is_some() {
             return;
         }
-        if let Err(error) = self.advance_until(ctx, base, events, slowdowns, drift, cache, t_end) {
+        if let Err(error) = self.state.advance_until(env, &mut self.hooks, t_end) {
             self.error = Some(error);
         }
-    }
-
-    /// The serving tier's streaming loop, incremental: identical
-    /// admissions, epochs, kills and virtual-time steps, except that the
-    /// loop returns — before mutating anything — whenever its next step `t`
-    /// would cross `t_end`. The router delivers every arrival `≤ t_end`
-    /// before calling this, so each step sees exactly the arrival set the
-    /// one-shot loop would.
-    ///
-    /// Admitted batches wait in the pending FIFO and are finalised
-    /// (observed, WAN round trip included) once the clock passes their
-    /// completion, in admission order. Under kill semantics a down-flip
-    /// landing on a node a pending batch's plan touches kills it; killed
-    /// members do **not** re-enter the local queue — they go to
-    /// `retry_out`, and the router re-routes them away from this cluster
-    /// next round (failover).
-    ///
-    /// Two rules are WAN-aware, unlike the serving tier's: earliest-deadline
-    /// ranks by `arrival + deadline − WAN round trip` (when the reply must
-    /// *leave* this cluster — the deadline rule in `hidp_sim::serving`) and
-    /// shedding compares the same WAN-adjusted deadline against the
-    /// admission lower bound. With zero WAN cost (a one-cluster fleet) both
-    /// reduce to the serving tier's rules.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_until(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        base: &Cluster,
-        events: &[AvailabilityEvent],
-        slowdowns: &[SlowdownWindow],
-        drift: Option<&DriftModel>,
-        cache: &PlanCache,
-        t_end: f64,
-    ) -> Result<(), CoreError> {
-        let ClusterWorker {
-            requests,
-            wan2,
-            ready,
-            global,
-            attempts_in,
-            key,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            next_event,
-            epoch,
-            departure_seq,
-            next_arrival,
-            now,
-            stats,
-            pending,
-            retry_out,
-            robustness,
-            adaptive,
-            first_retry,
-            recovered_latency,
-            fingerprint,
-            latency,
-            class_latency,
-            queueing_sum,
-            queueing_max,
-            class_queueing_sum,
-            class_misses,
-            deadline_misses,
-            makespan,
-            batches,
-            ..
-        } = self;
-
-        // Observes every batch settled by `$now`, in admission order.
-        macro_rules! finalise_settled {
-            ($now:expr) => {
-                while let Some((b, settled)) = pending.pop_settled($now) {
-                    let completion = b.effective_completion();
-                    if completion > *makespan {
-                        *makespan = completion;
-                    }
-                    robustness.completed += settled.len() as u64;
-                    for &m in settled {
-                        let request = &requests[m as usize];
-                        let lat = completion - request.arrival + wan2[m as usize];
-                        let delay = b.admitted - request.arrival;
-                        latency.observe(lat);
-                        if attempts_in[m as usize] > 0 {
-                            // This completion only happened because a retry was
-                            // re-routed here: its latency is the recovery cost.
-                            recovered_latency.observe(lat);
-                        }
-                        *queueing_sum += delay;
-                        if delay > *queueing_max {
-                            *queueing_max = delay;
-                        }
-                        let class = request.sla.priority() as usize;
-                        class_latency[class].observe(lat);
-                        class_queueing_sum[class] += delay;
-                        if lat > request.sla.deadline_seconds() {
-                            *deadline_misses += 1;
-                            class_misses[class] += 1;
-                        }
-                    }
-                }
-            };
-        }
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && ctx.max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(ctx.policy);
-                if ctx.recovery.shed {
-                    // Every admitted completion is ≥ max(now, earliest free
-                    // resource); the reply must leave by `deadline − WAN`.
-                    let request = &requests[head as usize];
-                    let bound = now.max(dispatch.earliest_free());
-                    if bound
-                        > request.arrival + request.sla.deadline_seconds() - wan2[head as usize]
-                    {
-                        queue.remove(head, requests);
-                        robustness.shed += 1;
-                        continue;
-                    }
-                }
-                queue.coalesce(head, ctx.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                // Adaptive loop: when the estimated effective rates leave the
-                // hysteresis band (bounded by `max_replans`), re-materialise
-                // the believed cluster so the cache re-plans on the belief.
-                // A stale belief (availability epoch flipped underneath it)
-                // is rebuilt without re-quantising and without burning a
-                // re-plan: the levels did not move, the base did.
-                if let Some(cfg) = ctx.adaptive.as_ref() {
-                    let hysteresis =
-                        adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
-                    if hysteresis || (adaptive.stale && adaptive.active) {
-                        if hysteresis {
-                            adaptive.replans += 1;
-                        }
-                        let belief_base: &Cluster = epoch_cluster.as_ref().unwrap_or(base);
-                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
-                    }
-                }
-                if let Some(believed) = adaptive.belief() {
-                    key.cluster_fingerprint = believed.fingerprint();
-                }
-                let plan_cluster: &Cluster = match adaptive.belief() {
-                    Some(believed) => believed,
-                    None => epoch_cluster.as_ref().unwrap_or(base),
-                };
-                let (plan, hit) =
-                    cache.plan_keyed(key, ctx.strategy, graph, plan_cluster, ctx.leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-                // Execution stays on the drifting truth; the observer feeds
-                // the per-node effective-rate estimates.
-                let completion = dispatch.estimate_full(
-                    plan.as_ref(),
-                    base,
-                    *now,
-                    slowdowns,
-                    drift,
-                    ctx.adaptive.as_ref().map(|cfg| (cfg, &mut *adaptive)),
-                )?;
-                let mask = if ctx.kill {
-                    plan_node_mask(plan.as_ref())
-                } else {
-                    0
-                };
-                if ctx.max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: completion,
-                        seq: *departure_seq,
-                    }));
-                    *departure_seq += 1;
-                }
-                pending.push(PendingBatch::new(*now, completion, mask), members);
-                *batches += 1;
-            }
-
-            let work_left = *next_arrival < requests.len() || queue.len() > 0;
-            // Remaining down-flips can still kill pending work, so the
-            // clock keeps walking events while any pending batch outlives
-            // the next *down* event (up events never kill).
-            let next_down = if ctx.kill {
-                events[*next_event..].iter().find(|e| !e.up)
-            } else {
-                None
-            };
-            let kills_pending = next_down.is_some_and(|e| pending.runs_past(e.time));
-            if !work_left && !kills_pending {
-                // Quiet until the next delivery: no remaining down-flip can
-                // touch what's pending, so its completions are settled —
-                // finalise in admission order and yield to the router.
-                finalise_settled!(f64::INFINITY);
-                return Ok(());
-            }
-
-            // Blocked: wait for the next ready delivery, estimated
-            // completion (when the window is full) or kill-relevant flip,
-            // whichever comes first.
-            let mut t = f64::INFINITY;
-            if *next_arrival < requests.len() {
-                t = ready[*next_arrival];
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if kills_pending {
-                let down = next_down.expect("kills_pending implies a down event");
-                t = t.min(down.time + 0.0);
-            }
-            if t > t_end {
-                return Ok(()); // Barrier: resume here next round.
-            }
-            // Replay timeline events due by then; under kill semantics a
-            // down-flip kills every pending batch whose plan touches the
-            // node and whose completion lies beyond the flip.
-            while *next_event < events.len() && events[*next_event].time <= t {
-                let event = events[*next_event];
-                let c = epoch_cluster
-                    .as_mut()
-                    .expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                *fingerprint = c.fingerprint();
-                *epoch += 1;
-                *next_event += 1;
-                if adaptive.active {
-                    // The belief was derived from the old availability; the
-                    // next admission rebuilds it from the new epoch cluster.
-                    adaptive.stale = true;
-                }
-                if !ctx.kill || event.up {
-                    continue;
-                }
-                if let Some(cfg) = ctx.adaptive.as_ref() {
-                    adaptive.observe_kill(event.node.0, cfg);
-                }
-                pending.kill(event.node, event.time, |m| {
-                    robustness.killed += 1;
-                    let i = m as usize;
-                    let k = attempts_in[i] + 1;
-                    let Some(policy) = ctx.recovery.retry.filter(|r| k <= r.max_attempts) else {
-                        robustness.lost += 1;
-                        return;
-                    };
-                    let backoff = policy.backoff_base_s * policy.backoff_factor.powi(k as i32 - 1);
-                    let unit = fnv64(&[policy.seed, u64::from(global[i]), u64::from(k)]) as f64
-                        / u64::MAX as f64;
-                    let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                    if ctx.recovery.deadline_abort
-                        && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                    {
-                        robustness.aborted += 1;
-                    } else {
-                        // Back to the router, which re-routes it away from
-                        // this cluster next round.
-                        retry_out.push(FleetRetry {
-                            global: global[i],
-                            release,
-                            attempts: k,
-                        });
-                        robustness.retried += 1;
-                        if event.time < *first_retry {
-                            *first_retry = event.time + 0.0;
-                        }
-                    }
-                });
-            }
-            if t > *now {
-                *now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= *now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            finalise_settled!(*now);
-            while *next_arrival < requests.len() && ready[*next_arrival] <= *now {
-                let idx = *next_arrival as u32;
-                let request = &requests[*next_arrival];
-                let deadline =
-                    request.arrival + request.sla.deadline_seconds() - wan2[*next_arrival];
-                queue.push_with_deadline(idx, requests, ctx.policy, deadline);
-                *next_arrival += 1;
-            }
-        }
+        self.fingerprint = self.state.epoch_cluster(env).fingerprint();
     }
 }
 

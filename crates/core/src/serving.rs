@@ -111,7 +111,8 @@ use crate::{CoreError, PlanKey};
 use hidp_dnn::zoo::WorkloadModel;
 use hidp_dnn::DnnGraph;
 use hidp_platform::{
-    Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr, SlowdownWindow,
+    AvailabilityEvent, Cluster, ClusterTimeline, DriftModel, NodeIndex, ProcessorAddr,
+    SlowdownWindow,
 };
 use hidp_sim::serving::{
     LatencySummary, ServedRequestRecord, ServingMetrics, SlaClass, SlaClassReport, StreamingTail,
@@ -294,6 +295,29 @@ impl RecoveryPolicy {
     /// Whether any recovery response is enabled.
     pub(crate) fn is_active(&self) -> bool {
         self.retry.is_some() || self.deadline_abort || self.shed || self.hedge_premium
+    }
+
+    /// The fate of `request`, killed at `at` for the `attempt`-th time.
+    /// The backoff grows exponentially per attempt, and its deterministic
+    /// jitter hashes `(seed, jitter_key, attempt)`.
+    pub(crate) fn kill_fate(
+        &self,
+        request: &ServingRequest,
+        attempt: u32,
+        jitter_key: u64,
+        at: f64,
+    ) -> KillFate {
+        let Some(policy) = self.retry.filter(|r| attempt <= r.max_attempts) else {
+            return KillFate::Lost;
+        };
+        let backoff = policy.backoff_base_s * policy.backoff_factor.powi(attempt as i32 - 1);
+        let unit = fnv64(&[policy.seed, jitter_key, u64::from(attempt)]) as f64 / u64::MAX as f64;
+        let release = at + backoff * (1.0 + policy.jitter_frac * unit);
+        if self.deadline_abort && release > request.arrival + request.sla.deadline_seconds() {
+            KillFate::Aborted
+        } else {
+            KillFate::Retry(release)
+        }
     }
 }
 
@@ -625,7 +649,7 @@ impl ServingScenario {
         let requests = &self.requests;
         let mut stream: Vec<(f64, f64, Arc<ExecutionPlan>)> = Vec::new();
         let mut batches: Vec<AdmittedBatch> = Vec::new();
-        let outcome = self.serve(
+        self.serve(
             strategy,
             cluster,
             leader,
@@ -645,14 +669,16 @@ impl ServingScenario {
         // loop may walk on to later down-flips that kill pending work; only
         // streaming recovery acts on those, and the engine replays the
         // timeline itself.
-        let epochs_applied = batches.last().map_or(outcome.epochs, |b| b.epoch);
+        let state = &scratch.state;
+        let epochs_applied = batches.last().map_or(state.epoch, |b| b.epoch);
+        let stats = state.stats;
         self.finish(
             strategy,
             cluster,
             AdmissionOutcome {
                 stream,
                 batches,
-                stats: outcome.plan_cache,
+                stats,
                 epochs_applied,
             },
             &mut scratch.sim,
@@ -753,7 +779,7 @@ impl ServingScenario {
         let mut class_queueing_sum = [0.0f64; 3];
         let mut class_misses = [0usize; 3];
         let mut deadline_misses = 0usize;
-        let outcome = self.serve(
+        self.serve(
             strategy,
             cluster,
             leader,
@@ -797,27 +823,29 @@ impl ServingScenario {
                 });
             }
         }
+        let state = &scratch.state;
         Ok(ServingSummary {
             requests: requests.len(),
-            batches: outcome.batches,
-            epochs_applied: outcome.epochs,
-            makespan: outcome.makespan,
+            batches: state.batches,
+            epochs_applied: state.epoch,
+            makespan: state.makespan,
             latency,
             mean_queueing_delay: queueing_tail.mean(),
             max_queueing_delay: queueing_tail.max(),
             deadline_misses,
             per_class,
-            plan_cache: outcome.plan_cache,
-            robustness: outcome.robustness,
-            drift: outcome.drift,
+            plan_cache: state.stats,
+            robustness: state.robustness,
+            drift: state.drift_stats(),
         })
     }
 
-    /// The serving loop both modes run; its rules are documented on
-    /// [`ServingScenario::run_streaming`]. Each admitted batch goes to
-    /// `on_admit` as `(now, epoch, members, plan)`. Each batch that settles
-    /// goes to `on_settle` as `(admitted, completion, members)`, in
-    /// admission order; a killed batch never settles.
+    /// The serving loop both modes run, start to finish; its rules are
+    /// documented on [`ServingScenario::run_streaming`]. Each admitted batch
+    /// goes to `on_admit` as `(now, epoch, members, plan)`. Each batch that
+    /// settles goes to `on_settle` as `(admitted, completion, members)`, in
+    /// admission order; a killed batch never settles. The run's counters
+    /// are left in `scratch.state`.
     #[allow(clippy::too_many_arguments)]
     fn serve(
         &self,
@@ -826,42 +854,34 @@ impl ServingScenario {
         leader: NodeIndex,
         cache: &PlanCache,
         scratch: &mut ServingScratch,
-        mut on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
-        mut on_settle: impl FnMut(f64, f64, &[u32]),
-    ) -> Result<LoopOutcome, CoreError> {
+        on_admit: impl FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
+        on_settle: impl FnMut(f64, f64, &[u32]),
+    ) -> Result<(), CoreError> {
         let requests = &self.requests;
         let n = requests.len();
-        let max_inflight = self.config.max_inflight.map(|w| w.max(1));
-        let kill = self.config.failures == FailureMode::Kill;
-        let recovery = self.config.recovery;
-        let retry_policy = recovery.retry;
-        let slowdowns = self.config.slowdowns.as_slice();
-        let drift = (!self.config.drift.is_empty()).then_some(&self.config.drift);
-        let acfg = self.config.adaptive;
+        let config = &self.config;
+        let env = ServeEnv {
+            strategy,
+            cluster,
+            leader,
+            cache,
+            policy: config.policy,
+            max_batch: config.max_batch,
+            max_inflight: config.max_inflight.map(|w| w.max(1)),
+            kill: config.failures == FailureMode::Kill,
+            recovery: config.recovery,
+            events: config.timeline.events(),
+            slowdowns: &config.slowdowns,
+            drift: (!config.drift.is_empty()).then_some(&config.drift),
+            adaptive: config.adaptive.as_ref(),
+        };
         let ServingScratch {
-            key,
+            state,
             order,
-            queue,
-            members,
-            graphs,
-            dispatch,
-            inflight,
-            epoch_cluster,
-            pending,
             retries,
             attempts,
-            hedge_cluster,
-            adaptive,
             ..
         } = scratch;
-
-        key.strategy.clear();
-        key.strategy.push_str(strategy.name());
-        strategy.write_cache_config(&mut key.strategy_config);
-        key.graph_fingerprint = 0;
-        key.batch = 0;
-        key.leader = leader;
-        key.cluster_fingerprint = cluster.fingerprint();
 
         order.clear();
         order.extend(0..n as u32);
@@ -870,323 +890,30 @@ impl ServingScenario {
                 .total_cmp(&(requests[b as usize].arrival + 0.0))
                 .then(a.cmp(&b))
         });
-
-        queue.reset(n);
-        dispatch.reset();
-        inflight.clear();
-        pending.clear();
         retries.clear();
         // Attempt counts only matter once something can be killed.
         attempts.clear();
-        if kill {
+        if env.kill {
             attempts.resize(n, 0u32);
         }
-        // Reset also deactivates any belief a previous run materialised: a
-        // non-adaptive run must not inherit it, and an adaptive steady-state
-        // pass must rediscover it exactly like the warm pass did.
-        match acfg.as_ref() {
-            Some(cfg) => adaptive.reset(cfg, cluster.len()),
-            None => adaptive.reset(&AdaptiveConfig::default(), 0),
-        }
-
-        let events = self.config.timeline.events();
-        let mut current: Option<&mut Cluster> =
-            (!events.is_empty()).then(|| rewind_copy(epoch_cluster, cluster));
-        let mut next_event = 0usize;
-        let mut epoch = 0usize;
-
-        let mut departure_seq = 0u64;
-        let mut retry_seq = 0u64;
-        let mut next_arrival = 0usize;
-        let mut now = 0.0f64;
-        let mut stats = PlanCacheStats::default();
-
-        let mut makespan = 0.0f64;
-        let mut batch_count = 0usize;
-        let mut robustness = RobustnessStats {
-            offered: n as u64,
-            ..RobustnessStats::default()
+        state.reset(&env, n);
+        let mut tier = ServingTier {
+            requests,
+            order,
+            next_arrival: 0,
+            retries,
+            retry_seq: 0,
+            attempts,
+            on_admit,
+            on_settle,
         };
-
-        // Settles every batch done by `$now`, in admission order.
-        macro_rules! finalise_settled {
-            ($now:expr) => {
-                while let Some((b, settled)) = pending.pop_settled($now) {
-                    let completion = b.effective_completion();
-                    if completion > makespan {
-                        makespan = completion;
-                    }
-                    robustness.completed += settled.len() as u64;
-                    on_settle(b.admitted, completion, settled);
-                }
-            };
-        }
-
-        loop {
-            // Admit everything the window allows at the current instant.
-            while queue.len() > 0 && max_inflight.is_none_or(|w| inflight.len() < w) {
-                let head = queue.pick(self.config.policy);
-                if recovery.shed {
-                    // Load shedding: every admitted completion is ≥
-                    // max(now, earliest free resource) — when even that
-                    // sound lower bound overruns the head's deadline,
-                    // serving it would burn capacity on a guaranteed miss.
-                    let request = &requests[head as usize];
-                    let bound = now.max(dispatch.earliest_free());
-                    if bound > request.arrival + request.sla.deadline_seconds() {
-                        queue.remove(head, requests);
-                        robustness.shed += 1;
-                        continue;
-                    }
-                }
-                queue.coalesce(head, self.config.max_batch, members);
-                for &m in members.iter() {
-                    queue.remove(m, requests);
-                }
-                let head = &requests[head as usize];
-                let combined = head.batch * members.len();
-                let graph = graphs
-                    .entry((head.model, combined))
-                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
-                key.graph_fingerprint = graph.fingerprint();
-                key.batch = graph.input_shape().batch();
-                // Closed-loop re-planning: when an effective-rate estimate
-                // leaves the hysteresis band (bounded by `max_replans`), or
-                // an availability flip staled the belief, rebuild the
-                // believed cluster from the current epoch base. Planning
-                // and cache keys then follow the belief; execution stays on
-                // the true cluster.
-                if let Some(cfg) = acfg.as_ref() {
-                    let hysteresis =
-                        adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
-                    if hysteresis || (adaptive.stale && adaptive.active) {
-                        if hysteresis {
-                            adaptive.replans += 1;
-                        }
-                        let belief_base: &Cluster = current.as_deref().unwrap_or(cluster);
-                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
-                    }
-                }
-                if let Some(believed) = adaptive.belief() {
-                    key.cluster_fingerprint = believed.fingerprint();
-                }
-                let plan_cluster: &Cluster = match adaptive.belief() {
-                    Some(believed) => believed,
-                    None => current.as_deref().unwrap_or(cluster),
-                };
-                let (plan, hit) = cache.plan_keyed(key, strategy, graph, plan_cluster, leader)?;
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-                // Measured-completion feedback: replay the plan against the
-                // resource free times every earlier admission left behind,
-                // on the base cluster (the one the records mode's final
-                // simulation measures on).
-                let completion = dispatch.estimate_full(
-                    plan.as_ref(),
-                    cluster,
-                    now,
-                    slowdowns,
-                    drift,
-                    acfg.as_ref().map(|cfg| (cfg, &mut *adaptive)),
-                )?;
-                let mask = if kill || recovery.hedge_premium {
-                    plan_node_mask(plan.as_ref())
-                } else {
-                    0
-                };
-                let mut batch = PendingBatch::new(now, completion, mask);
-
-                if recovery.hedge_premium && head.sla == SlaClass::Premium {
-                    let exposed = mask & !node_bit(leader);
-                    if exposed != 0 {
-                        let avoid = NodeIndex(exposed.trailing_zeros() as usize);
-                        let base: &Cluster = current.as_deref().unwrap_or(cluster);
-                        let hc = rewind_copy(hedge_cluster, base);
-                        if hc.set_available(avoid, false).is_ok() {
-                            let saved = key.cluster_fingerprint;
-                            key.cluster_fingerprint = hc.fingerprint();
-                            let hedged = cache.plan_keyed(key, strategy, graph, hc, leader);
-                            key.cluster_fingerprint = saved;
-                            // A cluster that cannot plan without the
-                            // avoided node simply gets no hedge copy —
-                            // hedging is opportunistic, never fatal.
-                            if let Ok((hedge_plan, hedge_hit)) = hedged {
-                                if hedge_hit {
-                                    stats.hits += 1;
-                                } else {
-                                    stats.misses += 1;
-                                }
-                                // Hedge copies run on the same drifting
-                                // truth but feed no observer — one batch
-                                // must not count twice in the estimators.
-                                let hedge_completion = dispatch.estimate_full(
-                                    hedge_plan.as_ref(),
-                                    cluster,
-                                    now,
-                                    slowdowns,
-                                    drift,
-                                    None,
-                                )?;
-                                let hedge_mask = if kill {
-                                    plan_node_mask(hedge_plan.as_ref())
-                                } else {
-                                    0
-                                };
-                                batch = batch.with_hedge(hedge_completion, hedge_mask);
-                                robustness.hedged += members.len() as u64;
-                            }
-                        }
-                    }
-                }
-
-                if max_inflight.is_some() {
-                    inflight.push(Reverse(Departure {
-                        at: batch.effective_completion(),
-                        seq: departure_seq,
-                    }));
-                    departure_seq += 1;
-                }
-                on_admit(now, epoch, members, &plan);
-                pending.push(batch, members);
-                batch_count += 1;
-            }
-
-            let work_left = next_arrival < n || queue.len() > 0 || !retries.is_empty();
-            // Remaining down-flips can still kill pending work even after
-            // the queue drains, so the clock must keep walking events while
-            // any pending copy outlives the next *down* event (up events
-            // never kill, so they alone never drive the clock).
-            let next_down = if kill {
-                events[next_event..].iter().find(|e| !e.up)
-            } else {
-                None
-            };
-            let kills_pending = next_down.is_some_and(|e| pending.runs_past(e.time));
-            if !work_left && !kills_pending {
-                // Drain: finalise every surviving batch in admission order.
-                finalise_settled!(f64::INFINITY);
-                break;
-            }
-
-            // Blocked: wait for the next arrival, retry release, estimated
-            // completion (when the window is full) or kill-relevant flip,
-            // whichever comes first.
-            let mut t = f64::INFINITY;
-            if next_arrival < n {
-                t = requests[order[next_arrival] as usize].arrival + 0.0;
-            }
-            if let Some(&Reverse(entry)) = retries.peek() {
-                t = t.min(entry.release);
-            }
-            if queue.len() > 0 {
-                let Reverse(soonest) = inflight
-                    .peek()
-                    .expect("a full admission window implies in-flight batches");
-                t = t.min(soonest.at);
-            }
-            if kills_pending {
-                let down = next_down.expect("kills_pending implies a down event");
-                t = t.min(down.time + 0.0);
-            }
-            // Replay timeline events due by then. Each flip starts a new
-            // epoch whose cluster fingerprint re-keys later planning; under
-            // kill semantics a down-flip also kills pending work.
-            while next_event < events.len() && events[next_event].time <= t {
-                let event = events[next_event];
-                let c = current.as_mut().expect("events imply an epoch cluster");
-                c.set_available(event.node, event.up)?;
-                key.cluster_fingerprint = c.fingerprint();
-                epoch += 1;
-                next_event += 1;
-                if adaptive.active {
-                    // The belief was derated from the previous epoch's
-                    // availability; the next admission rebuilds it from
-                    // this one (without consuming a re-plan).
-                    adaptive.stale = true;
-                }
-                if !kill || event.up {
-                    continue;
-                }
-                if let Some(cfg) = acfg.as_ref() {
-                    adaptive.observe_kill(event.node.0, cfg);
-                }
-                // Every copy of the batch is gone: the members flow
-                // through the recovery policy.
-                pending.kill(event.node, event.time, |m| {
-                    robustness.killed += 1;
-                    let i = m as usize;
-                    attempts[i] += 1;
-                    let Some(policy) = retry_policy.filter(|r| attempts[i] <= r.max_attempts)
-                    else {
-                        robustness.lost += 1;
-                        return;
-                    };
-                    let backoff =
-                        policy.backoff_base_s * policy.backoff_factor.powi(attempts[i] as i32 - 1);
-                    let unit = fnv64(&[policy.seed, m as u64, u64::from(attempts[i])]) as f64
-                        / u64::MAX as f64;
-                    let release = event.time + backoff * (1.0 + policy.jitter_frac * unit);
-                    if recovery.deadline_abort
-                        && release > requests[i].arrival + requests[i].sla.deadline_seconds()
-                    {
-                        robustness.aborted += 1;
-                    } else {
-                        retries.push(Reverse(RetryEntry {
-                            release,
-                            seq: retry_seq,
-                            idx: m,
-                        }));
-                        retry_seq += 1;
-                        robustness.retried += 1;
-                    }
-                });
-            }
-            if t > now {
-                now = t;
-            }
-            while let Some(&Reverse(soonest)) = inflight.peek() {
-                if soonest.at <= now {
-                    inflight.pop();
-                } else {
-                    break;
-                }
-            }
-            finalise_settled!(now);
-            // Released retries re-enter ahead of same-instant fresh
-            // arrivals: a retried request is strictly older work.
-            while let Some(&Reverse(entry)) = retries.peek() {
-                if entry.release <= now {
-                    retries.pop();
-                    queue.push(entry.idx, requests, self.config.policy);
-                } else {
-                    break;
-                }
-            }
-            while next_arrival < n && requests[order[next_arrival] as usize].arrival + 0.0 <= now {
-                queue.push(order[next_arrival], requests, self.config.policy);
-                next_arrival += 1;
-            }
-        }
-
+        state.advance_until(&env, &mut tier, f64::INFINITY)?;
         debug_assert!(
-            robustness.accounts_for_every_request(),
-            "request conservation violated: {robustness:?}"
+            state.robustness.accounts_for_every_request(),
+            "request conservation violated: {:?}",
+            state.robustness
         );
-        Ok(LoopOutcome {
-            batches: batch_count,
-            epochs: epoch,
-            makespan,
-            plan_cache: stats,
-            robustness,
-            drift: DriftStats {
-                replans: adaptive.replans,
-                observations: adaptive.observations,
-                energy_j: dispatch.energy_j,
-            },
-        })
+        Ok(())
     }
 
     /// Rejects empty scenarios, invalid arrivals/batches and timelines
@@ -1569,13 +1296,12 @@ impl ServingConfig {
     }
 }
 
-/// An estimated batch completion in the admission window. `pub(crate)` so
-/// the fleet tier's per-cluster workers can reuse the same in-flight heap
-/// ordering (time, then admission sequence) the serving loop uses.
+/// An estimated batch completion in the admission window, ordered by time,
+/// then admission sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Departure {
-    pub(crate) at: f64,
-    pub(crate) seq: u64,
+struct Departure {
+    at: f64,
+    seq: u64,
 }
 
 impl Eq for Departure {}
@@ -1615,18 +1341,6 @@ impl Ord for RetryEntry {
             .total_cmp(&other.release)
             .then(self.seq.cmp(&other.seq))
     }
-}
-
-/// What one pass of the serving loop determines in either mode.
-struct LoopOutcome {
-    batches: usize,
-    /// The final epoch number.
-    epochs: usize,
-    /// Estimated completion of the last settled batch.
-    makespan: f64,
-    plan_cache: PlanCacheStats,
-    robustness: RobustnessStats,
-    drift: DriftStats,
 }
 
 /// What the admission loop hands to the simulation half.
@@ -1733,9 +1447,10 @@ impl ServingSummary {
 }
 
 /// Reusable working memory for the serving loop: the embedded [`SimScratch`]
-/// (records-mode simulation), the hoisted [`PlanKey`], the admission
-/// queue's index arrays, the coalesce buffer, the `(model, batch) → graph`
-/// table, the dispatch estimator and the in-flight heap.
+/// (records-mode simulation), the loop's resumable state (plan key,
+/// admission queue, graph table, dispatch estimator, in-flight heap,
+/// pending batches, adaptive state) and the serving tier's intake: the
+/// arrival order, the retry heap and per-request attempt counts.
 ///
 /// Create one per worker thread and pass it to every serving run that
 /// thread performs: after the first run of a given workload shape, a
@@ -1746,24 +1461,12 @@ impl ServingSummary {
 #[derive(Debug)]
 pub struct ServingScratch {
     sim: SimScratch,
-    key: PlanKey,
+    state: ServeState,
     order: Vec<u32>,
-    queue: IndexedQueue,
-    members: Vec<u32>,
-    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
-    dispatch: DispatchEstimator,
-    inflight: BinaryHeap<Reverse<Departure>>,
-    epoch_cluster: Option<Cluster>,
-    /// Admitted batches awaiting completion (admission order), the retry
-    /// heap, per-request attempt counts (sized only under kill semantics)
-    /// and the reusable hedge-planning cluster.
-    pending: PendingFifo,
+    /// Killed requests awaiting their backoff release, and per-request
+    /// attempt counts (sized only under kill semantics).
     retries: BinaryHeap<Reverse<RetryEntry>>,
     attempts: Vec<u32>,
-    hedge_cluster: Option<Cluster>,
-    /// Adaptive-loop state: per-node rate estimators, planned levels and
-    /// the believed cluster (reused across runs for in-place rescaling).
-    adaptive: AdaptiveState,
 }
 
 impl ServingScratch {
@@ -1771,26 +1474,10 @@ impl ServingScratch {
     pub fn new() -> Self {
         Self {
             sim: SimScratch::new(),
-            key: PlanKey {
-                strategy: String::new(),
-                strategy_config: String::new(),
-                graph_fingerprint: 0,
-                batch: 0,
-                leader: NodeIndex(0),
-                cluster_fingerprint: 0,
-            },
+            state: ServeState::new(),
             order: Vec::new(),
-            queue: IndexedQueue::default(),
-            members: Vec::new(),
-            graphs: HashMap::new(),
-            dispatch: DispatchEstimator::default(),
-            inflight: BinaryHeap::new(),
-            epoch_cluster: None,
-            pending: PendingFifo::default(),
             retries: BinaryHeap::new(),
             attempts: Vec::new(),
-            hedge_cluster: None,
-            adaptive: AdaptiveState::default(),
         }
     }
 
@@ -1799,7 +1486,7 @@ impl ServingScratch {
     /// off). Exposed so convergence tests can assert the estimates track
     /// an injected slowdown.
     pub fn drift_estimates(&self) -> &[Ewma] {
-        &self.adaptive.est
+        &self.state.adaptive.est
     }
 }
 
@@ -1821,6 +1508,546 @@ fn rewind_copy<'a>(slot: &'a mut Option<Cluster>, base: &Cluster) -> &'a mut Clu
             c
         }
         None => slot.insert(base.clone()),
+    }
+}
+
+/// What one cluster's serving loop runs against: the planning inputs, the
+/// admission rules and the fault inputs. The serving tier builds one per
+/// run from its [`ServingConfig`]; the fleet builds one per cluster from
+/// its fleet config.
+#[derive(Clone, Copy)]
+pub(crate) struct ServeEnv<'a> {
+    pub(crate) strategy: &'a dyn DistributedStrategy,
+    /// The base cluster: execution always runs on it, planning on it until
+    /// a timeline event or the adaptive loop swaps in another view.
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) leader: NodeIndex,
+    pub(crate) cache: &'a PlanCache,
+    pub(crate) policy: AdmissionPolicy,
+    pub(crate) max_batch: usize,
+    /// The in-flight window, already clamped to at least 1.
+    pub(crate) max_inflight: Option<usize>,
+    /// Whether down-flips kill pending work ([`FailureMode::Kill`]).
+    pub(crate) kill: bool,
+    pub(crate) recovery: RecoveryPolicy,
+    pub(crate) events: &'a [AvailabilityEvent],
+    pub(crate) slowdowns: &'a [SlowdownWindow],
+    /// `None` when the drift model is empty.
+    pub(crate) drift: Option<&'a DriftModel>,
+    pub(crate) adaptive: Option<&'a AdaptiveConfig>,
+}
+
+/// What the recovery policy does with a killed request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum KillFate {
+    /// No retry policy, or the attempt budget is spent.
+    Lost,
+    /// The backoff release would already miss the deadline.
+    Aborted,
+    /// Retried: the request may re-enter admission at this time.
+    Retry(f64),
+}
+
+/// One tier's side of the serving loop ([`ServeState::advance_until`]):
+/// where queued requests come from, the deadline admission ranks and sheds
+/// on, and what happens to admitted, settled and killed work. The loop is
+/// generic over it, so each tier's copy is monomorphised with no dynamic
+/// dispatch on the hot path.
+pub(crate) trait ServeTier {
+    /// The requests the loop serves, indexed by the ids it queues.
+    fn requests(&self) -> &[ServingRequest];
+    /// When the next request not yet queued becomes ready, if any.
+    fn next_ready(&self) -> Option<f64>;
+    /// The next request ready by `now`, in queueing order.
+    fn pop_ready(&mut self, now: f64) -> Option<u32>;
+    /// The absolute deadline by which request `idx`'s reply must leave the
+    /// cluster: earliest-deadline ranks by it and shedding tests it.
+    fn deadline(&self, idx: u32) -> f64;
+    /// A batch was admitted at `now` under `epoch`.
+    fn on_admit(&mut self, now: f64, epoch: usize, members: &[u32], plan: &Arc<ExecutionPlan>);
+    /// A batch admitted at `admitted` settled at `completion`. Called in
+    /// admission order.
+    fn on_settle(&mut self, admitted: f64, completion: f64, members: &[u32]);
+    /// Request `member` was killed at `at`: count the attempt, decide its
+    /// fate with [`RecoveryPolicy::kill_fate`] and route a retry.
+    fn on_kill(&mut self, member: u32, at: f64, recovery: &RecoveryPolicy) -> KillFate;
+}
+
+/// The serving tier: arrivals in time order, killed requests re-entering
+/// through the local retry heap, and the run mode's admit/settle hooks.
+struct ServingTier<'a, A, S> {
+    requests: &'a [ServingRequest],
+    order: &'a [u32],
+    next_arrival: usize,
+    retries: &'a mut BinaryHeap<Reverse<RetryEntry>>,
+    retry_seq: u64,
+    attempts: &'a mut [u32],
+    on_admit: A,
+    on_settle: S,
+}
+
+impl<A, S> ServeTier for ServingTier<'_, A, S>
+where
+    A: FnMut(f64, usize, &[u32], &Arc<ExecutionPlan>),
+    S: FnMut(f64, f64, &[u32]),
+{
+    fn requests(&self) -> &[ServingRequest] {
+        self.requests
+    }
+
+    fn next_ready(&self) -> Option<f64> {
+        let arrival = self
+            .order
+            .get(self.next_arrival)
+            .map(|&i| self.requests[i as usize].arrival + 0.0);
+        let retry = self.retries.peek().map(|&Reverse(entry)| entry.release);
+        arrival.into_iter().chain(retry).reduce(f64::min)
+    }
+
+    fn pop_ready(&mut self, now: f64) -> Option<u32> {
+        // Released retries re-enter ahead of same-instant fresh arrivals: a
+        // retried request is strictly older work.
+        if let Some(&Reverse(entry)) = self.retries.peek() {
+            if entry.release <= now {
+                self.retries.pop();
+                return Some(entry.idx);
+            }
+        }
+        let &idx = self.order.get(self.next_arrival)?;
+        if self.requests[idx as usize].arrival + 0.0 <= now {
+            self.next_arrival += 1;
+            return Some(idx);
+        }
+        None
+    }
+
+    fn deadline(&self, idx: u32) -> f64 {
+        let request = &self.requests[idx as usize];
+        request.arrival + request.sla.deadline_seconds()
+    }
+
+    fn on_admit(&mut self, now: f64, epoch: usize, members: &[u32], plan: &Arc<ExecutionPlan>) {
+        (self.on_admit)(now, epoch, members, plan);
+    }
+
+    fn on_settle(&mut self, admitted: f64, completion: f64, members: &[u32]) {
+        (self.on_settle)(admitted, completion, members);
+    }
+
+    fn on_kill(&mut self, member: u32, at: f64, recovery: &RecoveryPolicy) -> KillFate {
+        let i = member as usize;
+        self.attempts[i] += 1;
+        let fate = recovery.kill_fate(&self.requests[i], self.attempts[i], u64::from(member), at);
+        if let KillFate::Retry(release) = fate {
+            self.retries.push(Reverse(RetryEntry {
+                release,
+                seq: self.retry_seq,
+                idx: member,
+            }));
+            self.retry_seq += 1;
+        }
+        fate
+    }
+}
+
+/// The serving loop's state, resumable: [`ServeState::advance_until`] can
+/// stop before any virtual-time step and pick up exactly there on the next
+/// call. The serving tier runs it once to the end; the fleet runs one per
+/// cluster, a router round at a time.
+#[derive(Debug)]
+pub(crate) struct ServeState {
+    key: PlanKey,
+    pub(crate) queue: IndexedQueue,
+    members: Vec<u32>,
+    graphs: HashMap<(WorkloadModel, usize), Arc<DnnGraph>>,
+    pub(crate) dispatch: DispatchEstimator,
+    inflight: BinaryHeap<Reverse<Departure>>,
+    /// The current epoch's cluster (used only when the timeline has
+    /// events) and the reusable hedge-planning cluster.
+    epoch_cluster: Option<Cluster>,
+    hedge_cluster: Option<Cluster>,
+    /// Admitted batches awaiting completion, in admission order.
+    pending: PendingFifo,
+    /// Adaptive-loop state: per-node rate estimators, planned levels and
+    /// the believed cluster (reused across runs for in-place rescaling).
+    adaptive: AdaptiveState,
+    next_event: usize,
+    /// Timeline events applied so far (the current epoch number).
+    pub(crate) epoch: usize,
+    departure_seq: u64,
+    now: f64,
+    pub(crate) stats: PlanCacheStats,
+    /// Completion of the latest settled batch.
+    pub(crate) makespan: f64,
+    /// Batches admitted.
+    pub(crate) batches: usize,
+    pub(crate) robustness: RobustnessStats,
+}
+
+impl ServeState {
+    pub(crate) fn new() -> Self {
+        Self {
+            key: PlanKey {
+                strategy: String::new(),
+                strategy_config: String::new(),
+                graph_fingerprint: 0,
+                batch: 0,
+                leader: NodeIndex(0),
+                cluster_fingerprint: 0,
+            },
+            queue: IndexedQueue::default(),
+            members: Vec::new(),
+            graphs: HashMap::new(),
+            dispatch: DispatchEstimator::default(),
+            inflight: BinaryHeap::new(),
+            epoch_cluster: None,
+            hedge_cluster: None,
+            pending: PendingFifo::default(),
+            adaptive: AdaptiveState::default(),
+            next_event: 0,
+            epoch: 0,
+            departure_seq: 0,
+            now: 0.0,
+            stats: PlanCacheStats::default(),
+            makespan: 0.0,
+            batches: 0,
+            robustness: RobustnessStats::default(),
+        }
+    }
+
+    /// Rearms the state for a run over `env` offering `n` requests (the
+    /// fleet passes 0 and grows the queue as the router delivers), keeping
+    /// every buffer's capacity and the persistent intern tables.
+    pub(crate) fn reset(&mut self, env: &ServeEnv<'_>, n: usize) {
+        let key = &mut self.key;
+        key.strategy.clear();
+        key.strategy.push_str(env.strategy.name());
+        env.strategy.write_cache_config(&mut key.strategy_config);
+        key.graph_fingerprint = 0;
+        key.batch = 0;
+        key.leader = env.leader;
+        key.cluster_fingerprint = env.cluster.fingerprint();
+        self.queue.reset(n);
+        self.dispatch.reset();
+        self.inflight.clear();
+        if !env.events.is_empty() {
+            rewind_copy(&mut self.epoch_cluster, env.cluster);
+        }
+        self.pending.clear();
+        // Reset also deactivates any belief a previous run materialised: a
+        // non-adaptive run must not inherit it, and an adaptive steady-state
+        // pass must rediscover it exactly like the warm pass did.
+        match env.adaptive {
+            Some(cfg) => self.adaptive.reset(cfg, env.cluster.len()),
+            None => self.adaptive.reset(&AdaptiveConfig::default(), 0),
+        }
+        self.next_event = 0;
+        self.epoch = 0;
+        self.departure_seq = 0;
+        self.now = 0.0;
+        self.stats = PlanCacheStats::default();
+        self.makespan = 0.0;
+        self.batches = 0;
+        self.robustness = RobustnessStats {
+            offered: n as u64,
+            ..RobustnessStats::default()
+        };
+    }
+
+    /// The cluster the current epoch plans on.
+    pub(crate) fn epoch_cluster<'c>(&'c self, env: &ServeEnv<'c>) -> &'c Cluster {
+        match &self.epoch_cluster {
+            Some(c) if !env.events.is_empty() => c,
+            _ => env.cluster,
+        }
+    }
+
+    /// The run's adaptive-loop counters and dynamic compute energy.
+    pub(crate) fn drift_stats(&self) -> DriftStats {
+        DriftStats {
+            replans: self.adaptive.replans,
+            observations: self.adaptive.observations,
+            energy_j: self.dispatch.energy_j,
+        }
+    }
+
+    /// Runs the serving loop until its next virtual-time step would cross
+    /// `t_end`, or until it has nothing left to do; the rules are
+    /// documented on [`ServingScenario::run_streaming`]. It returns before
+    /// mutating anything at the crossing, so the next call resumes exactly
+    /// there. A caller that makes every request ready by `t_end` known to
+    /// `tier` before the call sees the same admissions, epochs and kills
+    /// as one uninterrupted run, which is what lets the fleet advance
+    /// clusters round by round.
+    ///
+    /// When nothing is queued, nothing will become ready and no remaining
+    /// down-flip can touch a pending batch, every pending batch settles
+    /// (in admission order) and the call returns.
+    pub(crate) fn advance_until<T: ServeTier>(
+        &mut self,
+        env: &ServeEnv<'_>,
+        tier: &mut T,
+        t_end: f64,
+    ) -> Result<(), CoreError> {
+        let ServeState {
+            key,
+            queue,
+            members,
+            graphs,
+            dispatch,
+            inflight,
+            epoch_cluster,
+            hedge_cluster,
+            pending,
+            adaptive,
+            next_event,
+            epoch,
+            departure_seq,
+            now,
+            stats,
+            makespan,
+            batches,
+            robustness,
+        } = self;
+        let cluster = env.cluster;
+        let events = env.events;
+        let acfg = env.adaptive;
+        let mut current: Option<&mut Cluster> = if events.is_empty() {
+            None
+        } else {
+            epoch_cluster.as_mut()
+        };
+
+        // Settles every batch done by `$now`, in admission order.
+        macro_rules! settle {
+            ($now:expr) => {
+                while let Some((b, settled)) = pending.pop_settled($now) {
+                    let completion = b.effective_completion();
+                    if completion > *makespan {
+                        *makespan = completion;
+                    }
+                    robustness.completed += settled.len() as u64;
+                    tier.on_settle(b.admitted, completion, settled);
+                }
+            };
+        }
+
+        loop {
+            // Admit everything the window allows at the current instant.
+            while queue.len() > 0 && env.max_inflight.is_none_or(|w| inflight.len() < w) {
+                let head = queue.pick(env.policy);
+                // Load shedding: every admitted completion is ≥ max(now,
+                // earliest free resource) — when even that sound lower
+                // bound overruns the head's deadline, serving it would burn
+                // capacity on a guaranteed miss.
+                if env.recovery.shed && now.max(dispatch.earliest_free()) > tier.deadline(head) {
+                    queue.remove(head, tier.requests());
+                    robustness.shed += 1;
+                    continue;
+                }
+                queue.coalesce(head, env.max_batch, members);
+                for &m in members.iter() {
+                    queue.remove(m, tier.requests());
+                }
+                let head = tier.requests()[head as usize];
+                let combined = head.batch * members.len();
+                let graph = graphs
+                    .entry((head.model, combined))
+                    .or_insert_with(|| Arc::new(head.model.graph(combined)));
+                key.graph_fingerprint = graph.fingerprint();
+                key.batch = graph.input_shape().batch();
+                // Closed-loop re-planning: when an effective-rate estimate
+                // leaves the hysteresis band (bounded by `max_replans`), or
+                // an availability flip staled the belief, rebuild the
+                // believed cluster from the current epoch base. Planning
+                // and cache keys then follow the belief; execution stays on
+                // the true cluster.
+                if let Some(cfg) = acfg {
+                    let hysteresis =
+                        adaptive.replans < cfg.max_replans && adaptive.should_replan(cfg);
+                    if hysteresis || (adaptive.stale && adaptive.active) {
+                        if hysteresis {
+                            adaptive.replans += 1;
+                        }
+                        let belief_base: &Cluster = current.as_deref().unwrap_or(cluster);
+                        adaptive.rebuild_believed(belief_base, hysteresis, cfg)?;
+                    }
+                }
+                if let Some(believed) = adaptive.belief() {
+                    key.cluster_fingerprint = believed.fingerprint();
+                }
+                let plan_cluster: &Cluster = match adaptive.belief() {
+                    Some(believed) => believed,
+                    None => current.as_deref().unwrap_or(cluster),
+                };
+                let (plan, hit) =
+                    env.cache
+                        .plan_keyed(key, env.strategy, graph, plan_cluster, env.leader)?;
+                if hit {
+                    stats.hits += 1;
+                } else {
+                    stats.misses += 1;
+                }
+                // Measured-completion feedback: replay the plan against the
+                // resource free times every earlier admission left behind,
+                // on the base cluster (the one the records mode's final
+                // simulation measures on).
+                let completion = dispatch.estimate_full(
+                    plan.as_ref(),
+                    cluster,
+                    *now,
+                    env.slowdowns,
+                    env.drift,
+                    acfg.map(|cfg| (cfg, &mut *adaptive)),
+                )?;
+                let mask = if env.kill || env.recovery.hedge_premium {
+                    plan_node_mask(plan.as_ref())
+                } else {
+                    0
+                };
+                let mut batch = PendingBatch::new(*now, completion, mask);
+
+                if env.recovery.hedge_premium && head.sla == SlaClass::Premium {
+                    let exposed = mask & !node_bit(env.leader);
+                    if exposed != 0 {
+                        let avoid = NodeIndex(exposed.trailing_zeros() as usize);
+                        let base: &Cluster = current.as_deref().unwrap_or(cluster);
+                        let hc = rewind_copy(hedge_cluster, base);
+                        if hc.set_available(avoid, false).is_ok() {
+                            let saved = key.cluster_fingerprint;
+                            key.cluster_fingerprint = hc.fingerprint();
+                            let hedged =
+                                env.cache
+                                    .plan_keyed(key, env.strategy, graph, hc, env.leader);
+                            key.cluster_fingerprint = saved;
+                            // A cluster that cannot plan without the
+                            // avoided node simply gets no hedge copy —
+                            // hedging is opportunistic, never fatal.
+                            if let Ok((hedge_plan, hedge_hit)) = hedged {
+                                if hedge_hit {
+                                    stats.hits += 1;
+                                } else {
+                                    stats.misses += 1;
+                                }
+                                // Hedge copies run on the same drifting
+                                // truth but feed no observer — one batch
+                                // must not count twice in the estimators.
+                                let hedge_completion = dispatch.estimate_full(
+                                    hedge_plan.as_ref(),
+                                    cluster,
+                                    *now,
+                                    env.slowdowns,
+                                    env.drift,
+                                    None,
+                                )?;
+                                let hedge_mask = if env.kill {
+                                    plan_node_mask(hedge_plan.as_ref())
+                                } else {
+                                    0
+                                };
+                                batch = batch.with_hedge(hedge_completion, hedge_mask);
+                                robustness.hedged += members.len() as u64;
+                            }
+                        }
+                    }
+                }
+
+                if env.max_inflight.is_some() {
+                    inflight.push(Reverse(Departure {
+                        at: batch.effective_completion(),
+                        seq: *departure_seq,
+                    }));
+                    *departure_seq += 1;
+                }
+                tier.on_admit(*now, *epoch, members, &plan);
+                pending.push(batch, members);
+                *batches += 1;
+            }
+
+            let next_ready = tier.next_ready();
+            // Remaining down-flips can still kill pending work even after
+            // the queue drains, so the clock must keep walking events while
+            // any pending copy outlives the next *down* event (up events
+            // never kill, so they alone never drive the clock).
+            let next_down = if env.kill {
+                events[*next_event..].iter().find(|e| !e.up)
+            } else {
+                None
+            };
+            let kills_pending = next_down.is_some_and(|e| pending.runs_past(e.time));
+            if next_ready.is_none() && queue.len() == 0 && !kills_pending {
+                // Quiet: nothing can touch what is pending, so its
+                // completions are final — settle in admission order.
+                settle!(f64::INFINITY);
+                return Ok(());
+            }
+
+            // Blocked: wait for the next ready request, estimated
+            // completion (when the window is full) or kill-relevant flip,
+            // whichever comes first.
+            let mut t = next_ready.unwrap_or(f64::INFINITY);
+            if queue.len() > 0 {
+                let Reverse(soonest) = inflight
+                    .peek()
+                    .expect("a full admission window implies in-flight batches");
+                t = t.min(soonest.at);
+            }
+            if kills_pending {
+                let down = next_down.expect("kills_pending implies a down event");
+                t = t.min(down.time + 0.0);
+            }
+            if t > t_end {
+                return Ok(()); // Resume here on the next call.
+            }
+            // Replay timeline events due by then. Each flip starts a new
+            // epoch whose cluster fingerprint re-keys later planning; under
+            // kill semantics a down-flip also kills pending work.
+            while *next_event < events.len() && events[*next_event].time <= t {
+                let event = events[*next_event];
+                let c = current.as_mut().expect("events imply an epoch cluster");
+                c.set_available(event.node, event.up)?;
+                key.cluster_fingerprint = c.fingerprint();
+                *epoch += 1;
+                *next_event += 1;
+                if adaptive.active {
+                    // The belief was derated from the previous epoch's
+                    // availability; the next admission rebuilds it from
+                    // this one (without consuming a re-plan).
+                    adaptive.stale = true;
+                }
+                if !env.kill || event.up {
+                    continue;
+                }
+                if let Some(cfg) = acfg {
+                    adaptive.observe_kill(event.node.0, cfg);
+                }
+                // Every copy of the batch is gone: the members flow
+                // through the recovery policy.
+                pending.kill(event.node, event.time, |m| {
+                    robustness.killed += 1;
+                    match tier.on_kill(m, event.time, &env.recovery) {
+                        KillFate::Lost => robustness.lost += 1,
+                        KillFate::Aborted => robustness.aborted += 1,
+                        KillFate::Retry(_) => robustness.retried += 1,
+                    }
+                });
+            }
+            if t > *now {
+                *now = t;
+            }
+            while let Some(&Reverse(soonest)) = inflight.peek() {
+                if soonest.at <= *now {
+                    inflight.pop();
+                } else {
+                    break;
+                }
+            }
+            settle!(*now);
+            while let Some(idx) = tier.pop_ready(*now) {
+                let deadline = tier.deadline(idx);
+                queue.push(idx, tier.requests(), env.policy, deadline);
+            }
+        }
     }
 }
 
@@ -1902,11 +2129,8 @@ impl Ord for EdfEntry {
 ///
 /// Bucket ids persist across runs (`bucket_ids` is never cleared), so a
 /// steady-state pass re-derives every bucket without hashing allocations.
-///
-/// `pub(crate)` so the fleet tier's per-cluster workers run the identical
-/// structure; the fleet loop additionally uses [`IndexedQueue::begin`] +
-/// [`IndexedQueue::ensure`] because its request list grows round by round
-/// as the router delivers arrivals.
+/// [`IndexedQueue::ensure`] grows the index arrays in place when the fleet
+/// delivers requests to a cluster between rounds.
 #[derive(Debug, Default)]
 pub(crate) struct IndexedQueue {
     /// Push sequence per request index (= position in arrival order).
@@ -1936,15 +2160,6 @@ impl IndexedQueue {
     /// Clears the queue for a run over `n` requests, keeping capacity (and
     /// the persistent bucket-id table).
     pub(crate) fn reset(&mut self, n: usize) {
-        self.begin();
-        self.ensure(n);
-    }
-
-    /// Clears the queue for a new run without sizing the index arrays —
-    /// the fleet loop's entry point, where the request count is unknown up
-    /// front and [`IndexedQueue::ensure`] grows the arrays as the router
-    /// delivers. Capacity (and the bucket-id table) is kept.
-    pub(crate) fn begin(&mut self) {
         for list in [
             &mut self.seq,
             &mut self.gnext,
@@ -1968,6 +2183,7 @@ impl IndexedQueue {
         self.edf.clear();
         self.len = 0;
         self.next_seq = 0;
+        self.ensure(n);
     }
 
     /// Grows the index arrays to cover request indices `< n` (no-op when
@@ -1996,20 +2212,10 @@ impl IndexedQueue {
         self.len
     }
 
-    /// Enqueues `idx` (called in arrival order, which makes `seq` the queue
-    /// order every pick tie-breaks on). The EDF deadline is the serving
-    /// tier's rule, `arrival + class deadline`.
-    pub(crate) fn push(&mut self, idx: u32, requests: &[ServingRequest], policy: AdmissionPolicy) {
-        let request = &requests[idx as usize];
-        let deadline = request.arrival + request.sla.deadline_seconds();
-        self.push_with_deadline(idx, requests, policy, deadline);
-    }
-
-    /// [`IndexedQueue::push`] with an explicit absolute EDF deadline — the
-    /// fleet tier passes `arrival + class deadline − WAN round trip`, so
-    /// earliest-deadline ranks by when a reply must *leave* the serving
-    /// cluster (the deadline rule in `hidp_sim::serving`).
-    pub(crate) fn push_with_deadline(
+    /// Enqueues `idx` (called in queueing order, which makes `seq` the
+    /// order every pick tie-breaks on). `deadline` is the absolute deadline
+    /// earliest-deadline ranks by ([`ServeTier::deadline`]).
+    pub(crate) fn push(
         &mut self,
         idx: u32,
         requests: &[ServingRequest],
@@ -2782,7 +2988,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(summary.robustness, RobustnessStats::all_completed(n));
-            let pool = scratch.pending.member_capacity();
+            let pool = scratch.state.pending.member_capacity();
             assert!(pool <= 4096, "member pool grew to {pool} entries");
             assert!(scratch.attempts.is_empty());
             assert_eq!(scratch.attempts.capacity(), 0);
