@@ -7,10 +7,19 @@
 //! [`hidp_platform::Fleet`]**, all sharing a single virtual clock. A
 //! deterministic router assigns every arriving [`FleetRequest`] to a cluster
 //! under a pluggable [`RoutingPolicy`]; each cluster then runs the serving
-//! tier's streaming loop (same `IndexedQueue`, same `DispatchEstimator`,
-//! same pending-batch FIFO, same epoch/fingerprint plan re-keying) over the
-//! requests routed to it. Every config takes that one loop: faults, drift
-//! and recovery only add work when they have something to act on.
+//! tier's loop itself — the same resumable `ServeState` that
+//! [`crate::ServingScenario::run_streaming`] runs — over the requests routed
+//! to it. Every config takes that one loop: faults, drift and recovery only
+//! add work when they have something to act on.
+//!
+//! The fleet plugs into the loop through the same hooks the serving tier
+//! uses. Its intake is the router's deliveries, in ready order. Its
+//! deadline is WAN-aware: earliest-deadline ranks by, and shedding tests,
+//! `arrival + deadline − WAN round trip`, when the reply must *leave* the
+//! cluster (with zero WAN cost both reduce to the serving tier's rules). Its
+//! settle hook observes latency with the WAN round trip included. A killed
+//! request goes back to the router instead of the local queue, and is
+//! re-routed away from the cluster that killed it (failover).
 //!
 //! # Rounds and barriers
 //!
@@ -18,8 +27,7 @@
 //! [`FleetConfig::round_seconds`]. Each round the router (serially, in
 //! global arrival order) delivers every arrival due by the round boundary to
 //! its cluster, then all clusters advance **in parallel** up to the boundary
-//! ([`crate::ParallelSweep::run_mut`]). A cluster's incremental loop is the
-//! serving tier's batch loop with one extra rule: it stops — without
+//! ([`crate::ParallelSweep::run_mut`]). The serving loop stops — without
 //! mutating any state — whenever its next virtual-time step would cross the
 //! boundary, and resumes from exactly that point next round. Because a round
 //! delivers *every* arrival up to its boundary before any cluster crosses
@@ -57,8 +65,8 @@ use crate::adaptive::{AdaptiveConfig, DriftStats};
 use crate::parallel::ParallelSweep;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::serving::{
-    AdmissionPolicy, FailureMode, KillFate, RecoveryPolicy, RobustnessStats, ServeEnv, ServeState,
-    ServeTier, ServingRequest,
+    validate_requests, AdmissionPolicy, FailureMode, KillFate, RecoveryPolicy, RobustnessStats,
+    ServeEnv, ServeState, ServeTier, ServingRequest,
 };
 use crate::strategy::DistributedStrategy;
 use crate::CoreError;
@@ -708,34 +716,16 @@ impl FleetScenario {
     /// or routing parameters, timeline shape mismatches and leaders outside
     /// any cluster.
     fn validate(&self, fleet: &Fleet, leader: NodeIndex) -> Result<(), CoreError> {
-        if self.requests.is_empty() {
-            return Err(CoreError::Infeasible {
-                what: format!("fleet scenario '{}' has no requests", self.label),
-            });
-        }
-        if self.requests.len() >= u32::MAX as usize {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "fleet scenario '{}' exceeds the 2^32-1 request limit",
-                    self.label
-                ),
-            });
-        }
+        validate_requests(
+            "fleet",
+            &self.label,
+            self.requests.iter().map(|r| &r.request),
+            &self.config.recovery,
+            self.config.adaptive.as_ref(),
+            self.config.failures == FailureMode::Kill,
+            fleet.clusters(),
+        )?;
         for (i, fleet_request) in self.requests.iter().enumerate() {
-            let request = &fleet_request.request;
-            if !(request.arrival.is_finite() && request.arrival >= 0.0) {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "fleet scenario '{}': request {i} has invalid arrival {}",
-                        self.label, request.arrival
-                    ),
-                });
-            }
-            if request.batch == 0 {
-                return Err(CoreError::Infeasible {
-                    what: format!("fleet scenario '{}': request {i} has batch 0", self.label),
-                });
-            }
             if fleet_request.region >= fleet.region_count() {
                 return Err(CoreError::Infeasible {
                     what: format!(
@@ -782,9 +772,6 @@ impl FleetScenario {
                 ),
             });
         }
-        if let Some(retry) = self.config.recovery.retry {
-            retry.validate()?;
-        }
         if !self.config.slowdowns.is_empty() && self.config.slowdowns.len() != fleet.len() {
             return Err(CoreError::Infeasible {
                 what: format!(
@@ -805,9 +792,6 @@ impl FleetScenario {
                 ),
             });
         }
-        if let Some(adaptive) = &self.config.adaptive {
-            adaptive.validate()?;
-        }
         for window in &self.config.wan_degradations {
             window.validate()?;
         }
@@ -825,16 +809,6 @@ impl FleetScenario {
             }
             if let Some(drift) = self.config.drifts.get(i) {
                 drift.validate(cluster.len())?;
-            }
-            if self.config.failures == FailureMode::Kill && cluster.len() > 64 {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "fleet scenario '{}': kill semantics track plan residency in a \
-                         64-bit node mask; cluster {i} has {} nodes",
-                        self.label,
-                        cluster.len()
-                    ),
-                });
             }
         }
         Ok(())
@@ -1265,7 +1239,7 @@ impl ClusterWorker {
 /// audited steady-state pass returns without allocating.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSummary {
-    /// Total requests served across the fleet.
+    /// Requests offered to the fleet (the input stream, served or not).
     pub requests: usize,
     /// Clusters in the fleet.
     pub clusters: usize,
@@ -1327,12 +1301,12 @@ impl FleetSummary {
     }
 
     /// Completed requests per second of simulated time (count over the
-    /// estimated makespan).
+    /// estimated makespan). Lost, shed and aborted requests do not count.
     pub fn requests_per_second(&self) -> f64 {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        self.requests as f64 / self.makespan
+        self.robustness.completed as f64 / self.makespan
     }
 }
 
@@ -1525,7 +1499,7 @@ mod tests {
     }
 
     #[test]
-    fn no_fault_robust_fleet_is_bit_identical_to_legacy() {
+    fn no_fault_robust_fleet_is_bit_identical_to_the_plain_config() {
         let fleet = presets::generated_fleet(4, 2).unwrap();
         let strategy = HidpStrategy::new();
         let requests = regional_burst(80);
@@ -1597,6 +1571,8 @@ mod tests {
         );
         assert_eq!(abandoned.robustness.completed, 2);
         assert_eq!(abandoned.latency.count, 2);
+        // Throughput counts completions, not the offered stream.
+        assert_eq!(abandoned.requests_per_second(), 2.0 / abandoned.makespan);
         assert!(abandoned.robustness.accounts_for_every_request());
 
         let recovered = run(RecoveryPolicy::standard());

@@ -19,7 +19,10 @@
 //! Both modes — records ([`ServingScenario::run`]) and streaming
 //! ([`ServingScenario::run_streaming`]) — run one serving loop and differ
 //! only in two hooks: the records mode logs each batch as it is admitted,
-//! the streaming mode observes each batch as it settles.
+//! the streaming mode observes each batch as it settles. The loop's state
+//! is resumable (`ServeState`), so the fleet tier runs the very same loop
+//! per cluster, one router round at a time, with its own hooks for
+//! intake, deadlines and killed work ([`crate::FleetScenario`]).
 //!
 //! The loop's admission queue is a priority-indexed structure
 //! ([`IndexedQueue`](self)): one global FIFO list, one FIFO list per SLA
@@ -689,9 +692,8 @@ impl ServingScenario {
     /// loop, kept as the frozen baseline for the indexed structure. Output
     /// is bit-identical to [`ServingScenario::run`] (pinned by
     /// `tests/serving_admission_equivalence.rs`); complexity is O(n) per
-    /// admission instead of O(log n). Exists for the equivalence tests and
-    /// the admission benchmark — new code should call
-    /// [`ServingScenario::run`].
+    /// admission instead of O(log n). Exists only as a test oracle — new
+    /// code should call [`ServingScenario::run`].
     ///
     /// # Errors
     ///
@@ -919,58 +921,22 @@ impl ServingScenario {
     /// Rejects empty scenarios, invalid arrivals/batches and timelines
     /// referencing unknown nodes — shared by every entry point.
     fn validate(&self, cluster: &Cluster) -> Result<(), CoreError> {
-        if self.requests.is_empty() {
-            return Err(CoreError::Infeasible {
-                what: format!("serving scenario '{}' has no requests", self.label),
-            });
-        }
-        if self.requests.len() >= u32::MAX as usize {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}' exceeds the 2^32-1 request limit",
-                    self.label
-                ),
-            });
-        }
-        for (i, request) in self.requests.iter().enumerate() {
-            if !(request.arrival.is_finite() && request.arrival >= 0.0) {
-                return Err(CoreError::Infeasible {
-                    what: format!(
-                        "serving scenario '{}': request {i} has invalid arrival {}",
-                        self.label, request.arrival
-                    ),
-                });
-            }
-            if request.batch == 0 {
-                return Err(CoreError::Infeasible {
-                    what: format!("serving scenario '{}': request {i} has batch 0", self.label),
-                });
-            }
-        }
-        self.config.timeline.validate(cluster)?;
-        for window in &self.config.slowdowns {
+        let config = &self.config;
+        validate_requests(
+            "serving",
+            &self.label,
+            self.requests.iter(),
+            &config.recovery,
+            config.adaptive.as_ref(),
+            config.failures == FailureMode::Kill || config.recovery.hedge_premium,
+            std::slice::from_ref(cluster),
+        )?;
+        config.timeline.validate(cluster)?;
+        for window in &config.slowdowns {
             window.validate()?;
             cluster.node(window.node)?;
         }
-        self.config.drift.validate(cluster.len())?;
-        if let Some(adaptive) = &self.config.adaptive {
-            adaptive.validate()?;
-        }
-        if let Some(retry) = &self.config.recovery.retry {
-            retry.validate()?;
-        }
-        if (self.config.failures == FailureMode::Kill || self.config.recovery.hedge_premium)
-            && cluster.len() > 64
-        {
-            return Err(CoreError::Infeasible {
-                what: format!(
-                    "serving scenario '{}': kill semantics and hedging track plan \
-                     residency in a 64-bit node mask; the cluster has {} nodes",
-                    self.label,
-                    cluster.len()
-                ),
-            });
-        }
+        config.drift.validate(cluster.len())?;
         Ok(())
     }
 
@@ -1268,6 +1234,66 @@ impl ServingScenario {
     }
 }
 
+/// The request and config checks both tiers share; `tier` ("serving" or
+/// "fleet") names the scenario kind in the messages. Rejects an empty or
+/// over-long stream (request ids are `u32`), a non-finite or negative
+/// arrival, a zero batch and malformed retry or adaptive configs. When
+/// `masked` (kill semantics or hedging track plan residency in a 64-bit
+/// node mask), every cluster must have at most 64 nodes.
+pub(crate) fn validate_requests<'a>(
+    tier: &str,
+    label: &str,
+    requests: impl ExactSizeIterator<Item = &'a ServingRequest>,
+    recovery: &RecoveryPolicy,
+    adaptive: Option<&AdaptiveConfig>,
+    masked: bool,
+    clusters: &[Cluster],
+) -> Result<(), CoreError> {
+    let infeasible = |what: String| Err(CoreError::Infeasible { what });
+    if requests.len() == 0 {
+        return infeasible(format!("{tier} scenario '{label}' has no requests"));
+    }
+    if requests.len() >= u32::MAX as usize {
+        return infeasible(format!(
+            "{tier} scenario '{label}' exceeds the 2^32-1 request limit"
+        ));
+    }
+    for (i, request) in requests.enumerate() {
+        if !(request.arrival.is_finite() && request.arrival >= 0.0) {
+            return infeasible(format!(
+                "{tier} scenario '{label}': request {i} has invalid arrival {}",
+                request.arrival
+            ));
+        }
+        if request.batch == 0 {
+            return infeasible(format!(
+                "{tier} scenario '{label}': request {i} has batch 0"
+            ));
+        }
+    }
+    if let Some(retry) = &recovery.retry {
+        retry.validate()?;
+    }
+    if let Some(adaptive) = adaptive {
+        adaptive.validate()?;
+    }
+    for (i, cluster) in clusters.iter().enumerate() {
+        if masked && cluster.len() > 64 {
+            let which = if clusters.len() == 1 {
+                "the cluster".to_string()
+            } else {
+                format!("cluster {i}")
+            };
+            return infeasible(format!(
+                "{tier} scenario '{label}': kill semantics and hedging track plan \
+                 residency in a 64-bit node mask; {which} has {} nodes",
+                cluster.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 impl ServingConfig {
     /// The queue position the configured policy admits next (queue is in
     /// arrival order, so FIFO is position 0 and every tie breaks toward the
@@ -1393,7 +1419,7 @@ impl ServingEvaluation {
 /// millions of requests returns the same few hundred bytes as a toy run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingSummary {
-    /// Total requests served.
+    /// Requests offered (the input stream, served or not).
     pub requests: usize,
     /// Batches admitted (== requests when batching is off).
     pub batches: usize,
@@ -1437,12 +1463,12 @@ impl ServingSummary {
     }
 
     /// Completed requests per second of simulated time (count over the
-    /// estimated makespan).
+    /// estimated makespan). Lost, shed and aborted requests do not count.
     pub fn requests_per_second(&self) -> f64 {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        self.requests as f64 / self.makespan
+        self.robustness.completed as f64 / self.makespan
     }
 }
 
@@ -2363,9 +2389,8 @@ impl DispatchResource {
 /// mode they only gate the admission window while the reported metrics come
 /// from the full event engine.
 ///
-/// `pub(crate)` so every fleet-tier cluster worker owns one, and so the
-/// fleet router can read [`DispatchEstimator::horizon`] as its least-loaded
-/// backlog signal.
+/// `pub(crate)` so the fleet router can read
+/// [`DispatchEstimator::horizon`] as its least-loaded backlog signal.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchEstimator {
     /// Interned resource ids; persists across runs.
@@ -2798,7 +2823,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_admission_matches_the_reference_loop() {
+    fn records_mode_matches_the_reference_loop() {
         // The records mode admits through the serving loop's indexed queue,
         // the reference through its `Vec` scan; every output must agree.
         let cluster = presets::paper_cluster();
@@ -3043,6 +3068,30 @@ mod tests {
         assert_eq!(recovered.robustness.completed, recovered.robustness.offered);
         assert!(recovered.robustness.retried > 0);
         assert_eq!(recovered.robustness.killed, abandoned.robustness.killed);
+    }
+
+    #[test]
+    fn requests_per_second_counts_completed_requests_only() {
+        let cluster = presets::paper_cluster();
+        let strategy = HidpStrategy::new();
+        // The blackout kills the four-request burst with no retry; the two
+        // stragglers complete after the cluster recovers.
+        let mut requests = burst(WorkloadModel::ResNet152, 0.0, 4, SlaClass::BestEffort);
+        requests.extend(burst(
+            WorkloadModel::ResNet152,
+            6.0,
+            2,
+            SlaClass::BestEffort,
+        ));
+        let summary = ServingScenario::new(requests)
+            .with_timeline(blackout(0.01, 5.0))
+            .with_failure_mode(FailureMode::Kill)
+            .run_streaming(&strategy, &cluster, NodeIndex(1))
+            .unwrap();
+        assert_eq!(summary.requests, 6);
+        assert_eq!(summary.robustness.lost, 4);
+        assert_eq!(summary.robustness.completed, 2);
+        assert_eq!(summary.requests_per_second(), 2.0 / summary.makespan);
     }
 
     #[test]
