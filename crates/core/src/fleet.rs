@@ -1106,10 +1106,11 @@ impl ServeTier for FleetHooks {
 
     fn pop_ready(&mut self, now: f64) -> Option<u32> {
         let idx = self.queued;
-        (self.ready.get(idx)? <= &now).then(|| {
+        if *self.ready.get(idx)? <= now {
             self.queued += 1;
-            idx as u32
-        })
+            return Some(idx as u32);
+        }
+        None
     }
 
     /// Earliest-deadline ranks by — and shedding tests — when the reply
